@@ -253,23 +253,20 @@ BENCHMARK(BM_LoopbackSolveBackendShardSweep)
     ->UseRealTime()
     ->Iterations(1);
 
-// Transport matrix on top of the loopback lane: Unix vs TCP loopback ×
-// pipeline window {1, 8}. rounds/KB stay identical to both sweeps above
-// (the transcript never moves with the transport); what varies is wall
-// clock and the wire-byte counters, so this lane prices TCP framing and
-// the pipelining win side by side. The tx/rx counters are deterministic
-// under the fixed seeds.
-void BM_LoopbackTransportPipelineSweep(benchmark::State& state) {
+// Transport sweep on top of the loopback lane: Unix vs TCP loopback.
+// rounds/KB stay identical to both sweeps above (the transcript never
+// moves with the transport); what varies is wall clock, so this lane
+// prices TCP framing against Unix sockets side by side. The tx/rx
+// counters are deterministic under the fixed seeds.
+void BM_LoopbackTransportSweep(benchmark::State& state) {
   const bool tcp = state.range(0) != 0;
-  const size_t window = static_cast<size_t>(state.range(1));
   Rng rng(0xBACE);
   auto inst = workload::RandomFeasibleLp(300000, 2, &rng);
   LinearProgram problem(inst.objective);
   auto parts = workload::Partition(inst.constraints, 64, true, &rng);
 
-  const std::string unix_path = "/tmp/lplow_bench_tp_" +
-                                std::to_string(::getpid()) + "_" +
-                                std::to_string(window) + ".sock";
+  const std::string unix_path =
+      "/tmp/lplow_bench_tp_" + std::to_string(::getpid()) + ".sock";
   coord::CoordinatorStats stats;
   runtime::MetricsRegistry daemon_registry;
   runtime::MetricsRegistry client_registry;
@@ -288,7 +285,6 @@ void BM_LoopbackTransportPipelineSweep(benchmark::State& state) {
     }
     runtime::SocketSolveBackend::Options copt;
     copt.endpoints = {(*daemon)->bound_endpoint()};
-    copt.pipeline_window = window;
     copt.metrics = &client_registry;
     auto client = runtime::SocketSolveBackend::Create(copt);
     if (!client.ok()) {
@@ -311,7 +307,6 @@ void BM_LoopbackTransportPipelineSweep(benchmark::State& state) {
     (*daemon)->Shutdown();
   }
   state.counters["tcp"] = tcp ? 1.0 : 0.0;
-  state.counters["window"] = static_cast<double>(window);
   state.counters["rounds"] = static_cast<double>(stats.rounds);
   state.counters["KB"] = static_cast<double>(stats.total_bytes) / 1024.0;
   state.counters["remote_solves"] = static_cast<double>(remote);
@@ -321,12 +316,10 @@ void BM_LoopbackTransportPipelineSweep(benchmark::State& state) {
       client_registry.GetHistogram("wire.client.rtt_seconds")->Quantile(0.99);
 }
 
-BENCHMARK(BM_LoopbackTransportPipelineSweep)
-    ->ArgNames({"tcp", "window"})
-    ->Args({0, 1})
-    ->Args({0, 8})
-    ->Args({1, 1})
-    ->Args({1, 8})
+BENCHMARK(BM_LoopbackTransportSweep)
+    ->ArgNames({"tcp"})
+    ->Args({0})
+    ->Args({1})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->Iterations(1);

@@ -17,11 +17,9 @@
 //                  span and the daemon's spans share a trace id.
 //
 // --socket takes an endpoint spec ("unix:/path", "tcp:host:port", or a
-// bare path); --pipeline=N shares one connection carrying up to N solves
-// in flight instead of leasing a connection per request.
+// bare path).
 //
-//   lp_client_demo [--socket=ENDPOINT] [--pipeline=N] [--stats]
-//                  [--trace=FILE] [--shutdown]
+//   lp_client_demo [--socket=ENDPOINT] [--stats] [--trace=FILE] [--shutdown]
 
 #include <unistd.h>
 
@@ -44,7 +42,6 @@ int main(int argc, char** argv) {
 
   std::string socket_path = "/tmp/lplow_served.sock";
   std::string trace_file;
-  size_t pipeline_window = 1;
   bool want_stats = false;
   bool shutdown_daemon = false;
   for (int i = 1; i < argc; ++i) {
@@ -53,17 +50,14 @@ int main(int argc, char** argv) {
       socket_path = arg.substr(9);
     } else if (arg.rfind("--trace=", 0) == 0) {
       trace_file = arg.substr(8);
-    } else if (arg.rfind("--pipeline=", 0) == 0) {
-      pipeline_window = static_cast<size_t>(
-          std::strtoul(arg.c_str() + 11, nullptr, 10));
     } else if (arg == "--stats") {
       want_stats = true;
     } else if (arg == "--shutdown") {
       shutdown_daemon = true;
     } else {
       std::fprintf(stderr,
-                   "usage: lp_client_demo [--socket=ENDPOINT] [--pipeline=N] "
-                   "[--stats] [--trace=FILE] [--shutdown]\n");
+                   "usage: lp_client_demo [--socket=ENDPOINT] [--stats] "
+                   "[--trace=FILE] [--shutdown]\n");
       return 2;
     }
   }
@@ -73,7 +67,6 @@ int main(int argc, char** argv) {
 
   runtime::SocketSolveBackend::Options options;
   options.endpoints = {socket_path};
-  options.pipeline_window = pipeline_window;
   options.trace = &recorder;
   auto client = runtime::SocketSolveBackend::Create(options);
   if (!client.ok()) {
@@ -175,7 +168,7 @@ int main(int argc, char** argv) {
     if (!trace_file.empty()) {
       // The acceptance check for cross-process stitching: some client-side
       // basis-solve span's trace id must appear verbatim in the daemon's
-      // exported spans (it crossed inside the v2 request frame).
+      // exported spans (it crossed inside the request frame).
       uint64_t basis_trace_id = 0;
       for (const auto& event : recorder.Snapshot()) {
         if (std::strcmp(event.name, "engine.basis_solve") == 0 &&

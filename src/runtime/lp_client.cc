@@ -1,9 +1,5 @@
 #include "src/runtime/lp_client.h"
 
-#include <algorithm>
-#include <chrono>
-#include <deque>
-#include <unordered_map>
 #include <utility>
 
 #include "src/runtime/net_io.h"
@@ -13,68 +9,11 @@
 namespace lplow {
 namespace runtime {
 
-namespace {
-
-using SteadyClock = std::chrono::steady_clock;
-
-/// Milliseconds until `deadline`, floored at 1 so a nearly-expired caller
-/// still makes one poll; the caller's own deadline check decides expiry.
-int RemainingMs(SteadyClock::time_point deadline) {
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-      deadline - SteadyClock::now());
-  return std::max<int>(1, static_cast<int>(left.count()));
-}
-
-}  // namespace
-
-/// One caller's slot in a pipelined channel, stack-allocated in
-/// PipelinedExchange and only ever touched under Channel::mu. The reader
-/// fills it in (outcome + status + payload), erases it from the pending
-/// map, and notifies; the owner wakes on `done` and consumes it.
-struct SocketSolveBackend::Pending {
-  bool done = false;
-  RemoteOutcome outcome = RemoteOutcome::kError;
-  Status status;
-  std::vector<uint8_t> payload;
-};
-
-/// The shared pipelined connection of one endpoint (pipeline_window > 1).
-/// There is no background reader thread: whichever waiter arrives first
-/// becomes the reader (leader/follower), reads ONE frame with ch.mu
-/// released, dispatches it under ch.mu, and relinquishes the role — so the
-/// connection is serviced exactly while someone is waiting on it.
-///
-/// `order` records the send order of solve job ids. Responses are matched
-/// by the job id inside the payload; id-less replies (kBusy) are matched
-/// FIFO against the front of `order` — valid because the daemon serves one
-/// connection strictly in order. A timed-out caller erases its pending
-/// entry but LEAVES its order entry: the daemon will still answer that
-/// request, and the FIFO alignment must account for it (the late response
-/// is dropped when no pending owner claims it).
-///
-/// Lock order: ch.mu may be held while taking ep.mu, never the reverse.
-/// `send_mu` serializes frame writes and is only taken with ch.mu free, so
-/// a sender blocked on a full socket buffer never stalls the reader.
-struct SocketSolveBackend::Channel {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::mutex send_mu;
-  int fd = -1;
-  /// Bumped on every teardown; guards a reader that raced a reset.
-  uint64_t generation = 0;
-  /// Registered exchanges not yet collected (window admission counts this).
-  size_t inflight = 0;
-  bool reader_active = false;
-  std::deque<uint64_t> order;
-  std::unordered_map<uint64_t, Pending*> pending;
-};
-
 struct SocketSolveBackend::Endpoint {
   std::string spec;
   std::mutex mu;
   std::vector<int> idle;  // Pooled connections, hello already consumed.
   EndpointStats stats;
-  std::unique_ptr<Channel> channel;
 };
 
 namespace {
@@ -116,7 +55,6 @@ SocketSolveBackend::SocketSolveBackend(const Options& options)
   for (const std::string& spec : options.endpoints) {
     auto ep = std::make_unique<Endpoint>();
     ep->spec = spec;
-    ep->channel = std::make_unique<Channel>();
     endpoints_.push_back(std::move(ep));
   }
   MetricsRegistry* metrics =
@@ -157,9 +95,6 @@ Result<std::unique_ptr<SocketSolveBackend>> SocketSolveBackend::Create(
     return Status::InvalidArgument(
         "max_attempts_per_endpoint and failover_threshold must be >= 1");
   }
-  if (options.pipeline_window < 1) {
-    return Status::InvalidArgument("pipeline_window must be >= 1");
-  }
   return std::unique_ptr<SocketSolveBackend>(new SocketSolveBackend(options));
 }
 
@@ -167,19 +102,9 @@ SocketSolveBackend::~SocketSolveBackend() { CloseIdleConnections(); }
 
 void SocketSolveBackend::CloseIdleConnections() {
   for (auto& ep : endpoints_) {
-    {
-      std::lock_guard<std::mutex> lock(ep->mu);
-      for (int fd : ep->idle) net::CloseFd(fd);
-      ep->idle.clear();
-    }
-    Channel& ch = *ep->channel;
-    std::lock_guard<std::mutex> lock(ch.mu);
-    if (ch.inflight == 0 && ch.fd >= 0) {
-      net::CloseFd(ch.fd);
-      ch.fd = -1;
-      ch.generation++;
-      ch.order.clear();
-    }
+    std::lock_guard<std::mutex> lock(ep->mu);
+    for (int fd : ep->idle) net::CloseFd(fd);
+    ep->idle.clear();
   }
 }
 
@@ -312,7 +237,7 @@ void SocketSolveBackend::ReturnConnection(Endpoint& ep, int fd) {
   net::CloseFd(fd);
 }
 
-// ------------------------------------------------------ leased transport
+// ------------------------------------------------------------- exchange
 
 Status SocketSolveBackend::LeasedExchange(Endpoint& ep,
                                           const std::vector<uint8_t>& request,
@@ -419,240 +344,6 @@ Status SocketSolveBackend::LeasedExchange(Endpoint& ep,
   return st;
 }
 
-// --------------------------------------------------- pipelined transport
-
-void SocketSolveBackend::FailChannelLocked(Endpoint& ep, Channel& ch,
-                                           uint64_t generation,
-                                           const Status& status) {
-  (void)ep;
-  if (ch.generation != generation) return;  // Already torn down / replaced.
-  ch.generation++;
-  if (ch.fd >= 0) {
-    net::CloseFd(ch.fd);
-    ch.fd = -1;
-  }
-  const Status failure =
-      status.ok() ? Status::Internal("pipelined connection reset") : status;
-  for (auto& [job_id, pend] : ch.pending) {
-    pend->outcome = RemoteOutcome::kError;
-    pend->status = failure;
-    pend->done = true;
-  }
-  ch.pending.clear();
-  ch.order.clear();
-  ch.cv.notify_all();
-}
-
-void SocketSolveBackend::DispatchFrameLocked(Endpoint& ep, Channel& ch,
-                                             wire::Frame frame) {
-  switch (frame.header.kind) {
-    case wire::FrameKind::kSolveResponse: {
-      Result<wire::SolveResponseHead> head =
-          wire::PeekSolveResponseHead(frame.payload);
-      if (!head.ok()) {
-        FailChannelLocked(ep, ch, ch.generation, head.status());
-        return;
-      }
-      const uint64_t job_id = head->job_id;
-      auto pos = std::find(ch.order.begin(), ch.order.end(), job_id);
-      if (pos != ch.order.end()) ch.order.erase(pos);
-      auto it = ch.pending.find(job_id);
-      if (it == ch.pending.end()) {
-        // A late response whose caller already timed out and deregistered:
-        // dropped here, by job id — the connection itself stays good.
-        return;
-      }
-      Pending* pend = it->second;
-      ch.pending.erase(it);
-      if (!head->status.ok()) {
-        pend->outcome = RemoteOutcome::kRefused;
-        pend->status = Status::FailedPrecondition("server refused solve: " +
-                                                  head->status.ToString());
-      } else {
-        pend->outcome = RemoteOutcome::kOk;
-        pend->status = Status::OK();
-        pend->payload = std::move(frame.payload);
-      }
-      pend->done = true;
-      ch.cv.notify_all();
-      return;
-    }
-    case wire::FrameKind::kBusy: {
-      // No job id on a busy frame: FIFO-match it to the oldest request
-      // still on the wire (the daemon answers one connection in order).
-      if (ch.order.empty()) {
-        FailChannelLocked(ep, ch, ch.generation,
-                          Status::InvalidArgument(
-                              "busy frame with no request outstanding"));
-        return;
-      }
-      const uint64_t job_id = ch.order.front();
-      ch.order.pop_front();
-      auto it = ch.pending.find(job_id);
-      if (it == ch.pending.end()) return;  // Owner timed out; drop.
-      Pending* pend = it->second;
-      ch.pending.erase(it);
-      pend->outcome = RemoteOutcome::kBusy;
-      pend->status = Status::ResourceExhausted("endpoint busy");
-      pend->done = true;
-      ch.cv.notify_all();
-      return;
-    }
-    case wire::FrameKind::kError: {
-      // The daemon writes kError and closes: the whole channel is done.
-      FailChannelLocked(ep, ch, ch.generation,
-                        wire::DecodeErrorPayload(frame.payload));
-      return;
-    }
-    default: {
-      FailChannelLocked(
-          ep, ch, ch.generation,
-          Status::InvalidArgument("unexpected frame kind from daemon"));
-      return;
-    }
-  }
-}
-
-Status SocketSolveBackend::PipelinedExchange(
-    Endpoint& ep, const std::vector<uint8_t>& request, uint64_t job_id,
-    std::vector<uint8_t>* response, RemoteOutcome* outcome, bool* retryable) {
-  *outcome = RemoteOutcome::kError;
-  *retryable = false;
-  Channel& ch = *ep.channel;
-  const auto deadline = SteadyClock::now() +
-                        std::chrono::milliseconds(options_.request_timeout_ms);
-  std::unique_lock<std::mutex> lock(ch.mu);
-  // Window admission: at most pipeline_window exchanges share the wire.
-  while (ch.inflight >= options_.pipeline_window) {
-    if (ch.cv.wait_until(lock, deadline) == std::cv_status::timeout) {
-      NoteResult(ep, /*success=*/false);
-      *outcome = RemoteOutcome::kTimeout;
-      return Status::DeadlineExceeded("pipeline window wait timed out");
-    }
-  }
-  if (ch.fd < 0) {
-    bool reused = false;
-    Result<int> dialed = [&]() -> Result<int> {
-      trace::TraceSpan pool_span(trace_, "client.pool_wait");
-      pool_span.Arg("job_id", job_id);
-      return LeaseConnection(ep, &reused);
-    }();
-    if (!dialed.ok()) {
-      NoteResult(ep, /*success=*/false);
-      return dialed.status();
-    }
-    ch.fd = *dialed;
-    ch.reader_active = false;
-    ch.order.clear();
-  }
-  if (ch.pending.count(job_id) != 0) {
-    // Job ids are unique per engine run; a duplicate in flight would make
-    // response matching ambiguous.
-    return Status::Internal("duplicate job id in pipelined flight");
-  }
-  const uint64_t generation = ch.generation;
-  const int fd = ch.fd;
-  Pending pend;
-  ch.pending[job_id] = &pend;
-  ch.order.push_back(job_id);
-  ch.inflight++;
-  lock.unlock();
-
-  const uint64_t rtt_start = trace::TraceRecorder::NowMicros();
-  Status write_status;
-  {
-    // send_mu (never held with ch.mu) serializes frame writes so two
-    // pipelined senders cannot interleave bytes on the shared socket.
-    std::lock_guard<std::mutex> send_lock(ch.send_mu);
-    write_status = SendFrame(ep, fd, wire::FrameKind::kSolveRequest, request);
-  }
-  lock.lock();
-  if (!write_status.ok()) {
-    FailChannelLocked(ep, ch, generation, write_status);
-  }
-
-  while (!pend.done) {
-    if (SteadyClock::now() >= deadline) {
-      // Deregister but LEAVE the order entry: the daemon will still answer
-      // this request, and FIFO matching of id-less frames must stay
-      // aligned. The late response is dropped by job id on arrival; the
-      // connection survives for the other in-flight exchanges.
-      ch.pending.erase(job_id);
-      ch.inflight--;
-      ch.cv.notify_all();
-      NoteResult(ep, /*success=*/false);
-      *outcome = RemoteOutcome::kTimeout;
-      return Status::DeadlineExceeded("pipelined solve timed out");
-    }
-    if (!ch.reader_active && ch.fd >= 0 && ch.generation == generation) {
-      // Leader/follower: this waiter becomes the reader, pulls ONE frame
-      // with the lock released, dispatches it, and relinquishes the role.
-      ch.reader_active = true;
-      const int read_fd = ch.fd;
-      lock.unlock();
-      Result<wire::Frame> frame =
-          RecvFrame(ep, read_fd, RemainingMs(deadline));
-      lock.lock();
-      ch.reader_active = false;
-      if (ch.generation != generation) {
-        // The channel was reset while we were reading; our pend (if still
-        // live) was failed by the reset, so just re-check the loop.
-        ch.cv.notify_all();
-        continue;
-      }
-      if (frame.ok()) {
-        DispatchFrameLocked(ep, ch, std::move(*frame));
-      } else if (frame.status().code() != StatusCode::kDeadlineExceeded) {
-        // Peer closed or stream garbled mid-pipeline: nothing on this
-        // connection can be trusted any more.
-        FailChannelLocked(ep, ch, generation, frame.status());
-      }
-      // A poll timeout just loops: the deadline check at the top decides
-      // whether THIS caller is out of time; another waiter may have
-      // longer to live and will take over reading.
-      ch.cv.notify_all();
-    } else {
-      ch.cv.wait_until(lock, deadline);
-    }
-  }
-  ch.inflight--;
-  ch.cv.notify_all();
-  lock.unlock();
-
-  switch (pend.outcome) {
-    case RemoteOutcome::kOk: {
-      const uint64_t rtt_end = trace::TraceRecorder::NowMicros();
-      rtt_hist_->Record(static_cast<double>(rtt_end - rtt_start) * 1e-6);
-      if (trace_ != nullptr) {
-        trace_->RecordComplete("client.rtt", rtt_start, rtt_end,
-                               trace_->CurrentContext(),
-                               {{"job_id", job_id},
-                                {"bytes", request.size()}});
-      }
-      NoteResult(ep, /*success=*/true);
-      *outcome = RemoteOutcome::kOk;
-      *response = std::move(pend.payload);
-      return Status::OK();
-    }
-    case RemoteOutcome::kRefused:
-      NoteResult(ep, /*success=*/true);  // The daemon answered; it's alive.
-      *outcome = RemoteOutcome::kRefused;
-      return pend.status;
-    case RemoteOutcome::kBusy:
-      // Saturated, not broken: no health ding (mirrors the leased path).
-      *outcome = RemoteOutcome::kBusy;
-      return pend.status;
-    default:
-      NoteResult(ep, /*success=*/false);
-      *outcome = RemoteOutcome::kError;
-      *retryable = true;  // A fresh dial may succeed where the stale
-                          // connection failed.
-      return pend.status.ok()
-                 ? Status::Internal("pipelined exchange failed")
-                 : pend.status;
-  }
-}
-
 // ------------------------------------------------------------- dispatch
 
 Status SocketSolveBackend::TryEndpoint(Endpoint& ep,
@@ -666,12 +357,8 @@ Status SocketSolveBackend::TryEndpoint(Endpoint& ep,
        ++attempt) {
     if (attempt > 0) retries_counter_->Increment();
     bool retryable = false;
-    Status st =
-        options_.pipeline_window > 1
-            ? PipelinedExchange(ep, request, job_id, response, outcome,
-                                &retryable)
-            : LeasedExchange(ep, request, job_id, response, outcome,
-                             &retryable);
+    Status st = LeasedExchange(ep, request, job_id, response, outcome,
+                               &retryable);
     if (st.ok()) return st;
     last = st;
     if (!retryable) return st;
@@ -813,8 +500,8 @@ Result<wire::StatsResponse> SocketSolveBackend::ScrapeStats(
       }
       st = stats.status();
     } else if (frame.ok() && frame->header.kind == wire::FrameKind::kError) {
-      // A v1 daemon rejects the unknown frame kind with kError; surface its
-      // message (rather than a garbled-stream guess) to the scraper.
+      // The daemon rejected the request with kError; surface its message
+      // (rather than a garbled-stream guess) to the scraper.
       st = wire::DecodeErrorPayload(frame->payload);
     } else if (frame.ok()) {
       st = Status::InvalidArgument("unexpected reply to stats request");

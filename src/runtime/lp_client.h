@@ -10,6 +10,15 @@
 // rule the daemon's shards use), leases a pooled connection or dials a new
 // one, and exchanges request/response with a per-request deadline.
 //
+// Connections: every exchange leases one connection exclusively for its
+// round trip and returns it to the endpoint's pool (at most
+// `max_pooled_connections` idle) when it ends cleanly. The daemon serves
+// one frame at a time per connection, so concurrency comes from several
+// leased connections, never from stacking requests on one. Because a
+// connection carries one request at a time, the reply on it always
+// belongs to that request: job ids need not be unique among concurrent
+// callers (replayed serve traffic reuses a tenant's id for every job).
+//
 // Routing modes:
 //   kFailoverReplicas (default) — every endpoint is a replica of the same
 //     cluster; a job starts at its home endpoint and fails over through
@@ -31,15 +40,6 @@
 //   3. return false — the engine then runs the solve locally via Execute(),
 //      which is bit-identical by the determinism contract, so failover
 //      never changes results, only where the work ran.
-//
-// Pipelining: with pipeline_window == 1 (default) a request leases a
-// connection exclusively for its round trip. With a window > 1 the
-// endpoint's requests share ONE connection carrying up to `window` solves
-// in flight; responses are matched back to callers by the job id inside
-// the SolveResponse payload, so out-of-order responses and interleaved
-// timeouts resolve correctly (a timed-out caller just deregisters — the
-// connection survives, and its late response is discarded by job id when
-// it eventually arrives).
 //
 // Backpressure: at most `max_inflight` ExecuteSerialized calls are admitted
 // concurrently (a condition-variable gate); a kBusy answer from the daemon
@@ -86,20 +86,14 @@ class SocketSolveBackend final : public SolveBackend {
     std::vector<std::string> endpoints;
     /// How multiple endpoints divide the job space (see header comment).
     RoutingMode routing = RoutingMode::kFailoverReplicas;
-    /// Solve requests in flight on one connection. 1 = exclusive
-    /// lease-per-request (the legacy pool); > 1 shares one pipelined
-    /// connection per endpoint with responses matched by job id.
-    size_t pipeline_window = 1;
     /// Idle connections kept per endpoint; extras are closed on release.
     size_t max_pooled_connections = 4;
     /// Concurrent ExecuteSerialized calls admitted; 0 = unlimited. Callers
     /// over the cap block (backpressure), they are never dropped.
     size_t max_inflight = 0;
-    /// Deadline for one request/response exchange. In lease mode a
-    /// timed-out connection is closed, never pooled again — its response
-    /// may still arrive and must not be read as the answer to a later
-    /// request. In pipelined mode the connection survives a caller's
-    /// timeout: the late response is dropped by job id instead.
+    /// Deadline for one request/response exchange. A timed-out connection
+    /// is closed, never pooled again — its response may still arrive and
+    /// must not be read as the answer to a later request.
     int request_timeout_ms = 30'000;
     /// Deadline for the daemon's hello on a fresh connection.
     int hello_timeout_ms = 5'000;
@@ -113,7 +107,7 @@ class SocketSolveBackend final : public SolveBackend {
     /// Registry for wire.client.* metrics; null = MetricsRegistry::Global().
     MetricsRegistry* metrics = nullptr;
     /// Span recorder for the client's solve / pool-wait / RTT spans and the
-    /// wire trace context stamped into v2 requests. Observability only —
+    /// wire trace context stamped into solve requests. Observability only —
     /// never changes routing, retries, or results. Must outlive the backend.
     trace::TraceRecorder* trace = nullptr;
   };
@@ -175,9 +169,7 @@ class SocketSolveBackend final : public SolveBackend {
   /// with allow_remote_shutdown).
   Status RequestServerShutdown(size_t endpoint);
 
-  /// Closes every pooled connection and every idle pipelined channel (new
-  /// requests dial fresh). A pipelined connection with requests still in
-  /// flight is left alone.
+  /// Closes every pooled connection; later requests dial fresh.
   void CloseIdleConnections();
 
   size_t num_endpoints() const { return endpoints_.size(); }
@@ -187,8 +179,6 @@ class SocketSolveBackend final : public SolveBackend {
 
  private:
   struct Endpoint;
-  struct Channel;
-  struct Pending;
 
   /// How one remote exchange ended — the typed signal ExecuteSerialized
   /// classifies stats with (never by matching status text).
@@ -218,23 +208,15 @@ class SocketSolveBackend final : public SolveBackend {
   void AccountTx(Endpoint& ep, wire::FrameKind kind, size_t payload_bytes);
   void AccountRx(Endpoint& ep, wire::FrameKind kind, size_t payload_bytes);
 
-  /// One request/response on one endpoint (with the per-endpoint retry),
-  /// dispatching to the leased or pipelined transport per pipeline_window.
+  /// One request/response on one endpoint, with the per-endpoint retry.
   Status TryEndpoint(Endpoint& ep, const std::vector<uint8_t>& request,
                      uint64_t job_id, std::vector<uint8_t>* response,
                      RemoteOutcome* outcome);
+  /// Leases a connection, sends the request, and reads its one reply.
+  /// `retryable` is set when a fresh dial might succeed where this failed.
   Status LeasedExchange(Endpoint& ep, const std::vector<uint8_t>& request,
                         uint64_t job_id, std::vector<uint8_t>* response,
                         RemoteOutcome* outcome, bool* retryable);
-  Status PipelinedExchange(Endpoint& ep, const std::vector<uint8_t>& request,
-                           uint64_t job_id, std::vector<uint8_t>* response,
-                           RemoteOutcome* outcome, bool* retryable);
-  /// Fails every pending pipelined request on `ch` and resets the
-  /// connection (must hold ch.mu; `generation` guards double teardown).
-  void FailChannelLocked(Endpoint& ep, Channel& ch, uint64_t generation,
-                         const Status& status);
-  /// Routes one received frame to its pending request (must hold ch.mu).
-  void DispatchFrameLocked(Endpoint& ep, Channel& ch, wire::Frame frame);
 
   Options options_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;

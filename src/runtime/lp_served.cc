@@ -170,16 +170,15 @@ void SolveDaemon::HandleConnection(int fd) {
           stats_.pings++;
         }
         pings_counter_->Increment();
-        st = net::WriteFrame(fd, wire::FrameKind::kPong, {},
-                             frame->header.version);
+        st = net::WriteFrame(fd, wire::FrameKind::kPong, {});
         break;
       }
       case wire::FrameKind::kSolveRequest: {
-        ServeRequest(fd, frame->payload, frame->header.version);
+        ServeRequest(fd, frame->payload);
         break;
       }
       case wire::FrameKind::kStatsRequest: {
-        st = ServeStats(fd, frame->payload, frame->header.version);
+        st = ServeStats(fd, frame->payload);
         break;
       }
       case wire::FrameKind::kShutdown: {
@@ -220,8 +219,7 @@ void SolveDaemon::HandleConnection(int fd) {
   net::CloseFd(fd);
 }
 
-void SolveDaemon::ServeRequest(int fd, const std::vector<uint8_t>& payload,
-                               uint8_t version) {
+void SolveDaemon::ServeRequest(int fd, const std::vector<uint8_t>& payload) {
   if (options_.max_inflight > 0) {
     if (inflight_.fetch_add(1, std::memory_order_acq_rel) >=
         options_.max_inflight) {
@@ -231,12 +229,12 @@ void SolveDaemon::ServeRequest(int fd, const std::vector<uint8_t>& payload,
         stats_.busy_rejected++;
         busy_counter_->Increment();
       }
-      net::WriteFrame(fd, wire::FrameKind::kBusy, {}, version);
+      net::WriteFrame(fd, wire::FrameKind::kBusy, {});
       return;
     }
   }
   Result<wire::SolveRequestHead> head =
-      wire::PeekSolveRequestHead(payload, version);
+      wire::PeekSolveRequestHead(payload);
   if (!head.ok()) {
     if (options_.max_inflight > 0) {
       inflight_.fetch_sub(1, std::memory_order_acq_rel);
@@ -245,7 +243,7 @@ void SolveDaemon::ServeRequest(int fd, const std::vector<uint8_t>& payload,
     stats_.malformed++;
     malformed_counter_->Increment();
     net::WriteFrame(fd, wire::FrameKind::kError,
-                    wire::EncodeErrorPayload(head.status()), version);
+                    wire::EncodeErrorPayload(head.status()));
     return;
   }
   {
@@ -255,7 +253,7 @@ void SolveDaemon::ServeRequest(int fd, const std::vector<uint8_t>& payload,
   requests_counter_->Increment();
   request_bytes_hist_->Record(static_cast<double>(payload.size()));
   // The daemon-side root span: parented on the client's wire context when
-  // the v2 request carried one, so the client's solve span and this
+  // the request carried one, so the client's solve span and this
   // request's decode/solve/encode children share one trace id.
   trace::TraceSpan req_span(
       trace_, "daemon.request",
@@ -268,7 +266,6 @@ void SolveDaemon::ServeRequest(int fd, const std::vector<uint8_t>& payload,
   Result<std::vector<uint8_t>> response =
       Status::Internal("solve did not run");
   wire::ServeOptions serve_options;
-  serve_options.version = version;
   serve_options.trace = trace_;
   serve_options.parent = req_span.context();
   service_->Execute(head->job_id, "WireSolve",
@@ -284,7 +281,7 @@ void SolveDaemon::ServeRequest(int fd, const std::vector<uint8_t>& payload,
       stats_.solved++;
     }
     solved_counter_->Increment();
-    net::WriteFrame(fd, wire::FrameKind::kSolveResponse, *response, version);
+    net::WriteFrame(fd, wire::FrameKind::kSolveResponse, *response);
     return;
   }
   // The job decoded far enough to know its id but could not be served
@@ -298,12 +295,10 @@ void SolveDaemon::ServeRequest(int fd, const std::vector<uint8_t>& payload,
   solve_errors_counter_->Increment();
   net::WriteFrame(
       fd, wire::FrameKind::kSolveResponse,
-      wire::EncodeSolveErrorResponsePayload(head->job_id, response.status()),
-      version);
+      wire::EncodeSolveErrorResponsePayload(head->job_id, response.status()));
 }
 
-Status SolveDaemon::ServeStats(int fd, const std::vector<uint8_t>& payload,
-                               uint8_t version) {
+Status SolveDaemon::ServeStats(int fd, const std::vector<uint8_t>& payload) {
   Result<wire::StatsRequest> request =
       wire::DecodeStatsRequestPayload(payload);
   if (!request.ok()) {
@@ -313,7 +308,7 @@ Status SolveDaemon::ServeStats(int fd, const std::vector<uint8_t>& payload,
       malformed_counter_->Increment();
     }
     net::WriteFrame(fd, wire::FrameKind::kError,
-                    wire::EncodeErrorPayload(request.status()), version);
+                    wire::EncodeErrorPayload(request.status()));
     return Status::OutOfRange("connection done");
   }
   {
@@ -327,7 +322,7 @@ Status SolveDaemon::ServeStats(int fd, const std::vector<uint8_t>& payload,
     response.trace_json = trace_->ToChromeJson();
   }
   return net::WriteFrame(fd, wire::FrameKind::kStatsResponse,
-                         wire::EncodeStatsResponsePayload(response), version);
+                         wire::EncodeStatsResponsePayload(response));
 }
 
 }  // namespace runtime

@@ -60,7 +60,7 @@ class SolveDaemon {
     /// Registry for wire.daemon.* metrics; null = MetricsRegistry::Global().
     MetricsRegistry* metrics = nullptr;
     /// Span recorder for the daemon's per-request decode/solve/encode spans
-    /// (parented on the client's v2 wire context when present) and the
+    /// (parented on the client's wire trace context when present) and the
     /// trace JSON served to kStatsRequest scrapers. Observability only.
     /// Must outlive the daemon.
     trace::TraceRecorder* trace = nullptr;
@@ -116,14 +116,10 @@ class SolveDaemon {
   void AcceptLoop();
   void HandleConnection(int fd);
   /// One solve request end-to-end: admission, routing, solve, response.
-  /// `version` is the request frame's header version — it selects the
-  /// payload dialect (v1 has no trace block) and is echoed on the response.
-  void ServeRequest(int fd, const std::vector<uint8_t>& payload,
-                    uint8_t version);
+  void ServeRequest(int fd, const std::vector<uint8_t>& payload);
   /// One kStatsRequest: serves the registry JSON (and the recorder's trace
   /// JSON when asked and available) back as a kStatsResponse.
-  Status ServeStats(int fd, const std::vector<uint8_t>& payload,
-                    uint8_t version);
+  Status ServeStats(int fd, const std::vector<uint8_t>& payload);
 
   Options options_;
   std::unique_ptr<ShardedSolverService> service_;

@@ -57,19 +57,18 @@ std::span<const double> Histogram::BucketBounds() {
 void Histogram::Record(double value) {
   const std::span<const double> bounds = BucketBounds();
   // First bucket whose upper bound holds the value; past the table = the
-  // overflow bucket. Non-finite garbage lands in overflow too rather than
-  // corrupting the distribution shape.
-  size_t index;
-  if (std::isnan(value)) {
-    index = kNumBuckets - 1;
-  } else {
-    index = static_cast<size_t>(
-        std::lower_bound(bounds.begin(), bounds.end(), value) -
-        bounds.begin());
-  }
+  // overflow bucket. Non-finite garbage (NaN, +inf, -inf) lands in overflow
+  // too and is counted, but stays out of sum_ so the sum — and the JSON
+  // export — remains a finite number.
+  const bool finite = std::isfinite(value);
+  const size_t index =
+      finite ? static_cast<size_t>(
+                   std::lower_bound(bounds.begin(), bounds.end(), value) -
+                   bounds.begin())
+             : kNumBuckets - 1;
   std::lock_guard<std::mutex> lock(mu_);
   ++count_;
-  sum_ += value;
+  if (finite) sum_ += value;
   ++buckets_[index];
 }
 

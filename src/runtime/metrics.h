@@ -116,6 +116,8 @@ class Histogram {
   /// bounds (the overflow bucket has none). Same span for every histogram.
   static std::span<const double> BucketBounds();
 
+  /// Non-finite values (NaN, +inf, -inf) count into the overflow bucket
+  /// but are left out of sum().
   void Record(double value);
 
   uint64_t count() const;

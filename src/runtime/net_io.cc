@@ -316,10 +316,9 @@ Status ReadExact(int fd, uint8_t* out, size_t size, int timeout_ms) {
 }
 
 Status WriteFrame(int fd, wire::FrameKind kind,
-                  const std::vector<uint8_t>& payload, uint8_t version) {
+                  const std::vector<uint8_t>& payload) {
   auto frame = wire::EncodeFrame(
-      kind, std::span<const uint8_t>(payload.data(), payload.size()),
-      version);
+      kind, std::span<const uint8_t>(payload.data(), payload.size()));
   return WriteAll(fd, frame.data(), frame.size());
 }
 

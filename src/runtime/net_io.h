@@ -84,12 +84,9 @@ Status WriteAll(int fd, const uint8_t* data, size_t size);
 /// Reads exactly `size` bytes within `timeout_ms` (-1 = no deadline).
 Status ReadExact(int fd, uint8_t* out, size_t size, int timeout_ms);
 
-/// Writes one framed message. `version` stamps the frame header: a
-/// responder passes the request frame's version so v1 clients get v1
-/// responses; originators use the default.
+/// Writes one framed message.
 Status WriteFrame(int fd, wire::FrameKind kind,
-                  const std::vector<uint8_t>& payload,
-                  uint8_t version = wire::kWireVersion);
+                  const std::vector<uint8_t>& payload);
 
 /// Reads one framed message: 10-byte header, validation, then the payload.
 /// `timeout_ms` is ONE deadline for the whole frame — the payload read gets

@@ -15,7 +15,7 @@
 //   3. Traces stitch across threads and the wire. Each thread carries a
 //      stack of span contexts, so nested RAII spans parent naturally; a
 //      `ContextScope` re-installs a parent on a worker thread, and the
-//      (trace_id, parent_span) pair rides inside a v2 SolveRequest frame so
+//      (trace_id, parent_span) pair rides inside a SolveRequest frame so
 //      daemon-side spans attach under the client's trace (src/runtime/wire.h).
 //
 // Tracing never feeds back into solving: spans observe timestamps and ids
@@ -177,7 +177,7 @@ class TraceSpan {
   void Arg(const char* key, uint64_t value);
 
   /// This span's identity; invalid when inactive. The pair that crosses the
-  /// wire as a v2 SolveRequest's trace context.
+  /// wire as a SolveRequest's trace context.
   SpanContext context() const { return ctx_; }
 
   bool active() const { return recorder_ != nullptr; }

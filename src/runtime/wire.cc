@@ -70,12 +70,6 @@ Result<SolverConfig> DecodeSolverConfig(BitReader* r) {
 
 // ----------------------------------------------------------------- frames
 
-FrameKind MaxFrameKindForVersion(uint8_t version) {
-  // v1 predates the stats pair; a v1 peer sending kind 9 or 10 is broken,
-  // not early.
-  return version >= 2 ? FrameKind::kStatsResponse : FrameKind::kShutdown;
-}
-
 const char* FrameKindName(FrameKind kind) {
   switch (kind) {
     case FrameKind::kHello:
@@ -102,10 +96,9 @@ const char* FrameKindName(FrameKind kind) {
   return "unknown";
 }
 
-void EncodeFrameHeader(FrameKind kind, uint32_t payload_size, BitWriter* w,
-                       uint8_t version) {
+void EncodeFrameHeader(FrameKind kind, uint32_t payload_size, BitWriter* w) {
   w->PutU32(kMagic);
-  w->PutU8(version);
+  w->PutU8(kWireVersion);
   w->PutU8(static_cast<uint8_t>(kind));
   w->PutU32(payload_size);
 }
@@ -115,15 +108,14 @@ Result<FrameHeader> DecodeFrameHeader(BitReader* r, uint32_t max_payload) {
   if (magic != kMagic) return Status::InvalidArgument("bad frame magic");
   FrameHeader header;
   LPLOW_ASSIGN_OR_RETURN(header.version, r->GetU8());
-  if (header.version < kMinWireVersion || header.version > kWireVersion) {
+  if (header.version != kWireVersion) {
     return Status::InvalidArgument(
         "unsupported wire version " + std::to_string(header.version) +
-        " (this peer speaks " + std::to_string(kMinWireVersion) + ".." +
-        std::to_string(kWireVersion) + ")");
+        " (this peer speaks " + std::to_string(kWireVersion) + ")");
   }
   LPLOW_ASSIGN_OR_RETURN(uint8_t kind, r->GetU8());
   if (kind < static_cast<uint8_t>(FrameKind::kHello) ||
-      kind > static_cast<uint8_t>(MaxFrameKindForVersion(header.version))) {
+      kind > static_cast<uint8_t>(FrameKind::kStatsResponse)) {
     return Status::InvalidArgument("unknown frame kind " +
                                    std::to_string(kind));
   }
@@ -138,10 +130,9 @@ Result<FrameHeader> DecodeFrameHeader(BitReader* r, uint32_t max_payload) {
 }
 
 std::vector<uint8_t> EncodeFrame(FrameKind kind,
-                                 std::span<const uint8_t> payload,
-                                 uint8_t version) {
+                                 std::span<const uint8_t> payload) {
   BitWriter w;
-  EncodeFrameHeader(kind, static_cast<uint32_t>(payload.size()), &w, version);
+  EncodeFrameHeader(kind, static_cast<uint32_t>(payload.size()), &w);
   w.PutBytes(payload.data(), payload.size());
   return w.Release();
 }
@@ -250,12 +241,11 @@ Result<StatsResponse> DecodeStatsResponsePayload(
 
 namespace {
 
-// Reads the shared request prefix — job id, problem kind, and (v2+) the
-// trace block — leaving `r` positioned at the problem config. Both the
-// daemon's peek and the full serve go through here so they cannot disagree
-// on the layout.
-Result<SolveRequestHead> ReadSolveRequestPrefix(BitReader* r,
-                                                uint8_t version) {
+// Reads the shared request prefix — job id, problem kind, and the trace
+// block — leaving `r` positioned at the problem config. Both the daemon's
+// peek and the full serve go through here so they cannot disagree on the
+// layout.
+Result<SolveRequestHead> ReadSolveRequestPrefix(BitReader* r) {
   SolveRequestHead head;
   LPLOW_ASSIGN_OR_RETURN(head.job_id, r->GetU64());
   LPLOW_ASSIGN_OR_RETURN(uint8_t kind, r->GetU8());
@@ -265,17 +255,15 @@ Result<SolveRequestHead> ReadSolveRequestPrefix(BitReader* r,
                                    std::to_string(kind));
   }
   head.problem = static_cast<ProblemKind>(kind);
-  if (version >= 2) {
-    LPLOW_ASSIGN_OR_RETURN(uint8_t flags, r->GetU8());
-    if ((flags & ~kRequestFlagTraceContext) != 0) {
-      return Status::InvalidArgument("solve request carries unknown flags");
-    }
-    if ((flags & kRequestFlagTraceContext) != 0) {
-      LPLOW_ASSIGN_OR_RETURN(head.trace.trace_id, r->GetU64());
-      LPLOW_ASSIGN_OR_RETURN(head.trace.parent_span, r->GetU64());
-      if (!head.trace.present()) {
-        return Status::InvalidArgument("solve request trace id is zero");
-      }
+  LPLOW_ASSIGN_OR_RETURN(uint8_t flags, r->GetU8());
+  if ((flags & ~kRequestFlagTraceContext) != 0) {
+    return Status::InvalidArgument("solve request carries unknown flags");
+  }
+  if ((flags & kRequestFlagTraceContext) != 0) {
+    LPLOW_ASSIGN_OR_RETURN(head.trace.trace_id, r->GetU64());
+    LPLOW_ASSIGN_OR_RETURN(head.trace.parent_span, r->GetU64());
+    if (!head.trace.present()) {
+      return Status::InvalidArgument("solve request trace id is zero");
     }
   }
   return head;
@@ -284,9 +272,9 @@ Result<SolveRequestHead> ReadSolveRequestPrefix(BitReader* r,
 }  // namespace
 
 Result<SolveRequestHead> PeekSolveRequestHead(
-    const std::vector<uint8_t>& payload, uint8_t version) {
+    const std::vector<uint8_t>& payload) {
   BitReader r(payload);
-  return ReadSolveRequestPrefix(&r, version);
+  return ReadSolveRequestPrefix(&r);
 }
 
 Result<SolveResponseHead> PeekSolveResponseHead(
@@ -595,7 +583,7 @@ Result<std::vector<uint8_t>> ServeSolveRequestPayload(
     const std::vector<uint8_t>& payload, const ServeOptions& options) {
   BitReader r(payload);
   LPLOW_ASSIGN_OR_RETURN(SolveRequestHead head,
-                         ReadSolveRequestPrefix(&r, options.version));
+                         ReadSolveRequestPrefix(&r));
   switch (head.problem) {
     case ProblemKind::kLinearProgram:
       return ServeTyped<LinearProgram>(&r, head.job_id, options);

@@ -5,18 +5,15 @@
 // Layout of one frame (all integers little-endian via util/bit_stream):
 //
 //   u32 magic   "LPW1" (0x3157504C)   — stream resync / protocol check
-//   u8  version in [kMinWireVersion, kWireVersion]
-//   u8  kind    FrameKind             — what the payload is (valid range
-//                                       depends on the frame's version)
+//   u8  version kWireVersion          — the one version a peer accepts
+//   u8  kind    FrameKind             — what the payload is
 //   u32 size    payload byte count    — bounded by max_payload
 //   u8  payload[size]
 //
-// Version history (additive changes only; a frame is interpreted under the
-// version its own header declares, so a v2 daemon serves v1 clients):
-//   v1 — kinds kHello..kShutdown; SolveRequest = job_id, kind, problem.
-//   v2 — adds kStatsRequest/kStatsResponse and an optional trace context
-//        (flags byte + trace_id/parent_span) in SolveRequest, so daemon
-//        spans stitch under the client's trace (src/runtime/trace.h).
+// Versioning rule: a peer accepts exactly kWireVersion and rejects any
+// other header version with a clean Status. Any change to a frame or
+// payload layout bumps kWireVersion instead of adding a per-version decode
+// branch.
 //
 // Payload formats are per-kind binary codecs in the style the repo already
 // uses for its protocol messages: every field is encoded with BitWriter
@@ -55,14 +52,10 @@ namespace wire {
 
 /// Bytes "LPW1" on the wire (read back as a little-endian u32).
 inline constexpr uint32_t kMagic = 0x3157504Cu;
-/// The version this peer speaks and stamps on frames it originates.
-/// Bumped on any frame or payload change; additive changes keep old
-/// versions decodable (the versioning rule in docs/runtime.md).
+/// The one version this peer speaks, stamps on every frame, and accepts.
+/// Bumped on any frame or payload change (the versioning rule in
+/// docs/runtime.md).
 inline constexpr uint8_t kWireVersion = 2;
-/// Oldest version this peer still accepts: a frame whose header declares a
-/// version in [kMinWireVersion, kWireVersion] is interpreted under THAT
-/// version, and responses echo it — so a v2 daemon serves v1 clients.
-inline constexpr uint8_t kMinWireVersion = 1;
 /// Fixed frame header size: magic + version + kind + payload size.
 inline constexpr size_t kFrameHeaderBytes = 10;
 /// Default ceiling on one frame's payload. A peer declaring more is
@@ -90,17 +83,13 @@ enum class FrameKind : uint8_t {
   /// Client asks the daemon to drain and exit (honored only when the
   /// daemon was started with allow_remote_shutdown).
   kShutdown = 8,
-  /// v2+: client asks for the daemon's observability state (StatsRequest
+  /// Client asks for the daemon's observability state (StatsRequest
   /// payload: which pieces to include).
   kStatsRequest = 9,
-  /// v2+: the daemon's MetricsRegistry JSON and, when requested and
-  /// available, its Chrome trace JSON (StatsResponse payload).
+  /// The daemon's MetricsRegistry JSON and, when requested and available,
+  /// its Chrome trace JSON (StatsResponse payload).
   kStatsResponse = 10,
 };
-
-/// The newest frame kind each wire version defines — the upper bound
-/// DecodeFrameHeader enforces for a frame of that version.
-FrameKind MaxFrameKindForVersion(uint8_t version);
 
 /// Stable lower-snake name of a frame kind ("solve_request", "busy", ...),
 /// used as the metric-key suffix of the per-kind wire byte counters
@@ -113,14 +102,12 @@ struct FrameHeader {
   uint32_t payload_size = 0;
 };
 
-/// Appends the 10-byte header to `w`, stamped with `version` (a responder
-/// echoes the request frame's version; an originator uses kWireVersion).
-void EncodeFrameHeader(FrameKind kind, uint32_t payload_size, BitWriter* w,
-                       uint8_t version = kWireVersion);
+/// Appends the 10-byte header to `w`, stamped with kWireVersion.
+void EncodeFrameHeader(FrameKind kind, uint32_t payload_size, BitWriter* w);
 
-/// Decodes and validates a header: magic, version within
-/// [kMinWireVersion, kWireVersion], kind known under that version, and
-/// payload_size <= max_payload. Fails with a clean Status on anything else.
+/// Decodes and validates a header: magic, version == kWireVersion, a known
+/// kind, and payload_size <= max_payload. Fails with a clean Status on
+/// anything else.
 Result<FrameHeader> DecodeFrameHeader(BitReader* r,
                                       uint32_t max_payload = kMaxFramePayload);
 
@@ -131,8 +118,7 @@ struct Frame {
 
 /// One fully framed message: header + payload bytes.
 std::vector<uint8_t> EncodeFrame(FrameKind kind,
-                                 std::span<const uint8_t> payload,
-                                 uint8_t version = kWireVersion);
+                                 std::span<const uint8_t> payload);
 
 /// Whole-buffer decode (the socket layer reads header and payload
 /// separately; this form serves tests and in-memory transports). The buffer
@@ -172,10 +158,9 @@ std::vector<uint8_t> EncodeErrorPayload(const Status& status);
 /// Returns the carried (non-OK) status, or the decode failure itself.
 Status DecodeErrorPayload(const std::vector<uint8_t>& payload);
 
-/// Client-side trace identity riding inside a v2 SolveRequest: the daemon
+/// Client-side trace identity riding inside a SolveRequest: the daemon
 /// parents its spans under (trace_id, parent_span) so one Chrome trace
-/// shows the solve crossing the wire. All-zero = absent (and v1 requests
-/// never carry one).
+/// shows the solve crossing the wire. All-zero = absent.
 struct TraceContext {
   uint64_t trace_id = 0;
   uint64_t parent_span = 0;
@@ -183,10 +168,10 @@ struct TraceContext {
   bool present() const { return trace_id != 0; }
 };
 
-/// Bit flags of the v2 SolveRequest trace byte. Unknown bits are rejected.
+/// Bit flags of the SolveRequest trace byte. Unknown bits are rejected.
 inline constexpr uint8_t kRequestFlagTraceContext = 0x01;
 
-/// StatsRequest payload (v2+): which observability pieces to return.
+/// StatsRequest payload: which observability pieces to return.
 struct StatsRequest {
   bool include_metrics = true;
   bool include_trace = false;
@@ -195,7 +180,7 @@ std::vector<uint8_t> EncodeStatsRequestPayload(const StatsRequest& request);
 Result<StatsRequest> DecodeStatsRequestPayload(
     const std::vector<uint8_t>& payload);
 
-/// StatsResponse payload (v2+): the daemon's MetricsRegistry JSON plus its
+/// StatsResponse payload: the daemon's MetricsRegistry JSON plus its
 /// Chrome trace JSON (empty string when not requested or not recorded).
 struct StatsResponse {
   std::string metrics_json;
@@ -207,15 +192,14 @@ Result<StatsResponse> DecodeStatsResponsePayload(
 
 /// The routing prefix of a SolveRequest payload: enough for the daemon to
 /// pick a shard (and echo the job id on errors) without a full decode,
-/// plus the v2 trace context when present. `version` is the request
-/// frame's own header version.
+/// plus the trace context when present.
 struct SolveRequestHead {
   uint64_t job_id = 0;
   ProblemKind problem = ProblemKind::kLinearProgram;
   TraceContext trace;
 };
 Result<SolveRequestHead> PeekSolveRequestHead(
-    const std::vector<uint8_t>& payload, uint8_t version = kWireVersion);
+    const std::vector<uint8_t>& payload);
 
 /// The status prefix of a SolveResponse payload: job id + status, readable
 /// without knowing the problem type (the client uses it to classify server
@@ -296,27 +280,22 @@ concept WireSolvable = requires { ProblemCodec<P>::kKind; };
 
 /// SolveRequest payload:
 ///   u64 job_id, u8 problem_kind,
-///   v2+: u8 trace_flags, [u64 trace_id, u64 parent_span]  -- iff flagged,
+///   u8 trace_flags, [u64 trace_id, u64 parent_span]  -- iff flagged,
 ///   problem config (per-kind), varint constraint_count, constraints
 ///   (problem wire format).
-/// Everything after the trace block is byte-identical to v1, so a v2
-/// request without context decodes to exactly the v1 semantics.
 template <WireSolvable P>
 std::vector<uint8_t> EncodeSolveRequestPayload(
     uint64_t job_id, const P& problem,
-    std::span<const typename P::Constraint> sample, TraceContext trace = {},
-    uint8_t version = kWireVersion) {
+    std::span<const typename P::Constraint> sample, TraceContext trace = {}) {
   BitWriter w;
   w.PutU64(job_id);
   w.PutU8(static_cast<uint8_t>(ProblemCodec<P>::kKind));
-  if (version >= 2) {
-    if (trace.present()) {
-      w.PutU8(kRequestFlagTraceContext);
-      w.PutU64(trace.trace_id);
-      w.PutU64(trace.parent_span);
-    } else {
-      w.PutU8(0);
-    }
+  if (trace.present()) {
+    w.PutU8(kRequestFlagTraceContext);
+    w.PutU64(trace.trace_id);
+    w.PutU64(trace.parent_span);
+  } else {
+    w.PutU8(0);
   }
   ProblemCodec<P>::EncodeProblem(problem, &w);
   w.PutVarU64(sample.size());
@@ -386,11 +365,9 @@ DecodeSolveResponsePayload(const P& problem,
   return result;
 }
 
-/// Knobs for serving one request payload: the request frame's version
-/// (which fixes the payload layout) and, optionally, a recorder + parent
+/// Knobs for serving one request payload: optionally, a recorder + parent
 /// under which the daemon-side decode/solve/encode spans are recorded.
 struct ServeOptions {
-  uint8_t version = kWireVersion;
   trace::TraceRecorder* trace = nullptr;
   trace::SpanContext parent;
 };

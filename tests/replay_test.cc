@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -133,6 +134,13 @@ TEST(ReplayTest, BatchSubmitMatchesPerJobSubmit) {
 }
 
 TEST(ReplayTest, LoopbackSocketLaneMatchesInProcess) {
+  // Serve traffic routes by tenant, so job ids repeat across jobs: the
+  // socket lane below runs concurrent callers that share an id, and each
+  // must still get its own response.
+  std::set<uint64_t> job_ids;
+  for (const auto& job : QuickMix().jobs) job_ids.insert(job.job_id);
+  ASSERT_LT(job_ids.size(), QuickMix().jobs.size());
+
   const auto reference = ReplayOn(1, 1, /*batch=*/false);
 
   const std::string socket_path =

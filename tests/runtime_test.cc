@@ -8,7 +8,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -216,6 +218,25 @@ TEST(MetricsTest, HistogramExtremesGoToEdgeBuckets) {
             (std::pair<int, uint64_t>{Histogram::kMaxExponent + 1, 1}));
   // The overflow bucket's quantile reports the table's top bound.
   EXPECT_DOUBLE_EQ(h.Quantile(1.0), std::pow(2.0, Histogram::kMaxExponent));
+}
+
+TEST(MetricsTest, HistogramNonFiniteSamplesGoToOverflowAndStayOutOfSum) {
+  using runtime::Histogram;
+  MetricsRegistry reg;
+  Histogram* h = reg.GetHistogram("h");
+  h->Record(std::numeric_limits<double>::quiet_NaN());
+  h->Record(std::numeric_limits<double>::infinity());
+  h->Record(-std::numeric_limits<double>::infinity());
+  EXPECT_EQ(h->count(), 3u);
+  EXPECT_TRUE(std::isfinite(h->sum()));
+  auto nonzero = h->NonzeroBuckets();
+  ASSERT_EQ(nonzero.size(), 1u);
+  EXPECT_EQ(nonzero.front(),
+            (std::pair<int, uint64_t>{Histogram::kMaxExponent + 1, 3}));
+  // The exported JSON stays valid: no bare nan/inf number tokens.
+  const std::string json = reg.ToJson();
+  EXPECT_EQ(json.find("nan"), std::string::npos) << json;
+  EXPECT_EQ(json.find("inf"), std::string::npos) << json;
 }
 
 TEST(MetricsTest, HistogramBucketBoundsAreOneSharedAscendingTable) {

@@ -3,7 +3,7 @@
 // contract: engine transcripts (deterministic counters + basis hashes) are
 // bit-identical between the serial path, the in-process
 // ShardedSolverService, and the socket-served backend across shard counts
-// {1,2,4}, transports {unix, tcp}, pipeline windows {1,8}, and
+// {1,2,4}, concurrent engine callers {2,4}, transports {unix, tcp}, and
 // multi-daemon shard clusters {1,2,3} — plus the failure ladder: failover
 // off a dead endpoint (with dial-attempt accounting), local fallback when
 // every endpoint is dead, clean handling of busy, mute (timeout),
@@ -18,6 +18,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/models/coordinator/coordinator_solver.h"
@@ -173,10 +174,14 @@ TEST(SocketBackendTest, TranscriptsBitIdenticalOverLoopbackAcrossShards) {
         << "in-process sharded transcript drifted";
   }
 
-  for (size_t shards : {1u, 2u, 4u}) {
+  // (daemon shards, engine threads): the last pair runs 4 concurrent
+  // callers, each leasing its own pooled connection to a 2x2 daemon.
+  const std::pair<size_t, size_t> configs[] = {{1, 2}, {2, 2}, {4, 2}, {2, 4}};
+  for (const auto& [shards, threads] : configs) {
     MetricsRegistry reg;
     SolveDaemon::Options dopt;
-    dopt.socket_path = TestSocketPath("loopback" + std::to_string(shards));
+    dopt.socket_path = TestSocketPath("loopback" + std::to_string(shards) +
+                                      "x" + std::to_string(threads));
     dopt.num_shards = shards;
     dopt.threads_per_shard = 2;
     dopt.metrics = &reg;
@@ -190,11 +195,12 @@ TEST(SocketBackendTest, TranscriptsBitIdenticalOverLoopbackAcrossShards) {
     ASSERT_TRUE(client.ok()) << client.status().ToString();
 
     runtime::RuntimeOptions ropt;
-    ropt.num_threads = 2;
+    ropt.num_threads = threads;
     ropt.solver_backend = client->get();
     ropt.oversized_basis_threshold = 1;  // Route every basis solve.
     ModelTranscripts got = RunAllModels(c.problem, parts, c.constraints, ropt);
-    EXPECT_EQ(got, want) << "loopback transcript drifted at shards=" << shards;
+    EXPECT_EQ(got, want) << "loopback transcript drifted at shards=" << shards
+                         << " threads=" << threads;
 
     // The solves really crossed the socket: no local fallback ran, and the
     // daemon solved exactly what the client counts as remote successes.
@@ -202,6 +208,7 @@ TEST(SocketBackendTest, TranscriptsBitIdenticalOverLoopbackAcrossShards) {
     EXPECT_GT(cstats.remote_success, 0u);
     EXPECT_EQ(cstats.local_fallbacks, 0u);
     EXPECT_EQ(cstats.remote_errors, 0u);
+    EXPECT_EQ(cstats.timeouts, 0u);
     auto dstats = (*daemon)->stats();
     EXPECT_EQ(dstats.solved, cstats.remote_success);
     EXPECT_EQ(dstats.malformed, 0u);
@@ -253,49 +260,6 @@ TEST(SocketBackendTest, TranscriptsBitIdenticalOverTcpLoopback) {
     auto estats = (*client)->endpoint_stats(0);
     EXPECT_GT(estats.tx_bytes, 0u);
     EXPECT_GT(estats.rx_bytes, 0u);
-    (*daemon)->Shutdown();
-  }
-}
-
-TEST(SocketBackendTest, TranscriptsBitIdenticalUnderPipelining) {
-  auto c = testing_util::MakeFeasibleLpCase(1000, 2, 47);
-  Rng rng(0x91BEULL);
-  auto parts = workload::Partition(c.constraints, 6, true, &rng);
-
-  ModelTranscripts want =
-      RunAllModels(c.problem, parts, c.constraints, runtime::RuntimeOptions{});
-  ASSERT_NE(want.coordinator, Transcript{});
-
-  for (size_t window : {1u, 8u}) {
-    MetricsRegistry reg;
-    SolveDaemon::Options dopt;
-    dopt.socket_path = TestSocketPath("pipeline" + std::to_string(window));
-    dopt.num_shards = 2;
-    dopt.threads_per_shard = 2;
-    dopt.metrics = &reg;
-    auto daemon = SolveDaemon::Start(dopt);
-    ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();
-
-    SocketSolveBackend::Options copt;
-    copt.endpoints = {dopt.socket_path};
-    copt.pipeline_window = window;
-    copt.metrics = &reg;
-    auto client = SocketSolveBackend::Create(copt);
-    ASSERT_TRUE(client.ok()) << client.status().ToString();
-
-    runtime::RuntimeOptions ropt;
-    ropt.num_threads = 4;  // Concurrent callers share the pipelined wire.
-    ropt.solver_backend = client->get();
-    ropt.oversized_basis_threshold = 1;
-    ModelTranscripts got = RunAllModels(c.problem, parts, c.constraints, ropt);
-    EXPECT_EQ(got, want) << "pipelined transcript drifted at window="
-                         << window;
-
-    auto cstats = (*client)->stats();
-    EXPECT_GT(cstats.remote_success, 0u);
-    EXPECT_EQ(cstats.local_fallbacks, 0u);
-    EXPECT_EQ(cstats.timeouts, 0u);
-    EXPECT_EQ((*daemon)->stats().solved, cstats.remote_success);
     (*daemon)->Shutdown();
   }
 }
@@ -790,7 +754,7 @@ TEST(SocketBackendTest, TraceContextStitchesAcrossTheSocketBoundary) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_GT((*client)->stats().remote_success, 0u);
 
-  // Some client basis-solve span's trace id crossed inside the v2 frames
+  // Some client basis-solve span's trace id crossed inside the request frames
   // and must come back verbatim in the daemon's exported spans.
   uint64_t basis_trace_id = 0;
   for (const auto& event : client_recorder.Snapshot()) {

@@ -211,7 +211,7 @@ TEST(TraceSpanTest, AsyncRecordCompleteAndCrossThreadContextScope) {
 }
 
 TEST(TraceSpanTest, ExplicitParentAdoptsTheWireContext) {
-  // The daemon-side pattern: the parent arrived inside a v2 frame.
+  // The daemon-side pattern: the parent arrived inside a request frame.
   TraceRecorder rec(true);
   const SpanContext wire_ctx{0xABCD, 0x1234};
   {

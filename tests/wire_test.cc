@@ -1,8 +1,7 @@
 // Wire protocol (label `quick`, so the whole file also runs under the
 // ASan/UBSan CI lane): frame and payload round trips, the served-solve
-// response matching a direct SolveBasis byte-for-byte, the v1/v2 version
-// gate (trace context + stats frames are v2-only and additive), and the
-// adversarial decode sweep — truncation at EVERY byte boundary, bad
+// response matching a direct SolveBasis byte-for-byte, the single-version
+// gate (only kWireVersion decodes), and the adversarial decode sweep — truncation at EVERY byte boundary, bad
 // magic/version/kind, hostile declared lengths (dims, counts, frame sizes)
 // and hostile trace flags, all failing with a clean Status before any
 // allocation, never UB.
@@ -66,11 +65,16 @@ TEST(WireFrameTest, RejectsBadMagic) {
 }
 
 TEST(WireFrameTest, RejectsWrongVersion) {
-  auto bytes = wire::EncodeFrame(wire::FrameKind::kPing, {});
-  bytes[4] = wire::kWireVersion + 1;
-  auto frame = wire::DecodeFrame(bytes.data(), bytes.size());
-  ASSERT_FALSE(frame.ok());
-  EXPECT_NE(frame.status().ToString().find("version"), std::string::npos);
+  // Only kWireVersion decodes: 0 predates the protocol, 1 is the retired
+  // pre-trace-context layout, and anything newer is unknown to this peer.
+  for (uint8_t version : {uint8_t{0}, uint8_t{1},
+                          static_cast<uint8_t>(wire::kWireVersion + 1)}) {
+    auto bytes = wire::EncodeFrame(wire::FrameKind::kPing, {});
+    bytes[4] = version;
+    auto frame = wire::DecodeFrame(bytes.data(), bytes.size());
+    ASSERT_FALSE(frame.ok()) << "version " << int{version} << " accepted";
+    EXPECT_NE(frame.status().ToString().find("version"), std::string::npos);
+  }
 }
 
 TEST(WireFrameTest, RejectsUnknownKind) {
@@ -80,30 +84,6 @@ TEST(WireFrameTest, RejectsUnknownKind) {
     EXPECT_FALSE(wire::DecodeFrame(bytes.data(), bytes.size()).ok())
         << "kind " << int{kind} << " accepted";
   }
-}
-
-TEST(WireFrameTest, AcceptsOldVersionRejectsVersionZero) {
-  // A v1 frame still decodes (a v2 daemon serves v1 clients)...
-  auto bytes = wire::EncodeFrame(wire::FrameKind::kPing, {}, /*version=*/1);
-  auto frame = wire::DecodeFrame(bytes.data(), bytes.size());
-  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-  EXPECT_EQ(frame->header.version, 1);
-  // ...but version 0 predates the protocol.
-  bytes[4] = 0;
-  EXPECT_FALSE(wire::DecodeFrame(bytes.data(), bytes.size()).ok());
-}
-
-TEST(WireFrameTest, StatsKindsAreVersionGated) {
-  // The valid kind range depends on the frame's own version: the stats
-  // kinds decode cleanly under a v2 header and are unknown under v1.
-  wire::StatsRequest request;
-  auto payload = wire::EncodeStatsRequestPayload(request);
-  auto bytes = wire::EncodeFrame(
-      wire::FrameKind::kStatsRequest,
-      std::span<const uint8_t>(payload.data(), payload.size()));
-  EXPECT_TRUE(wire::DecodeFrame(bytes.data(), bytes.size()).ok());
-  bytes[4] = 1;  // Same frame relabeled v1: kind 9 does not exist there.
-  EXPECT_FALSE(wire::DecodeFrame(bytes.data(), bytes.size()).ok());
 }
 
 TEST(WireFrameTest, RejectsOversizedDeclaredPayload) {
@@ -315,41 +295,7 @@ TEST(WireSolveTest, ErrorResponseCarriesTheStatusBack) {
   EXPECT_EQ(decoded.status().message(), "empty region");
 }
 
-// -------------------------------------------- v2 trace context and stats
-
-TEST(WireSolveTest, V2RequestWithoutContextServesIdenticallyToV1) {
-  auto c = testing_util::MakeFeasibleLpCase(24, 2, 5);
-  const uint64_t job_id = 99;
-  std::span<const Halfspace> sample(c.constraints.data(),
-                                    c.constraints.size());
-  auto v1 = wire::EncodeSolveRequestPayload(job_id, c.problem, sample, {},
-                                            /*version=*/1);
-  auto v2 = wire::EncodeSolveRequestPayload(job_id, c.problem, sample);
-
-  // A context-free v2 request is the v1 bytes with one zero flags byte
-  // spliced after the job_id + kind prefix; everything after is identical.
-  ASSERT_EQ(v2.size(), v1.size() + 1);
-  EXPECT_EQ(v2[9], 0u);
-  EXPECT_TRUE(std::equal(v1.begin(), v1.begin() + 9, v2.begin()));
-  EXPECT_TRUE(std::equal(v1.begin() + 9, v1.end(), v2.begin() + 10));
-
-  auto head1 = wire::PeekSolveRequestHead(v1, /*version=*/1);
-  ASSERT_TRUE(head1.ok()) << head1.status().ToString();
-  EXPECT_EQ(head1->job_id, job_id);
-  EXPECT_FALSE(head1->trace.present());
-  auto head2 = wire::PeekSolveRequestHead(v2);
-  ASSERT_TRUE(head2.ok()) << head2.status().ToString();
-  EXPECT_FALSE(head2->trace.present());
-
-  // Served under their own versions, the response bytes are identical.
-  wire::ServeOptions v1_options;
-  v1_options.version = 1;
-  auto served_v1 = wire::ServeSolveRequestPayload(v1, v1_options);
-  auto served_v2 = wire::ServeSolveRequestPayload(v2);
-  ASSERT_TRUE(served_v1.ok()) << served_v1.status().ToString();
-  ASSERT_TRUE(served_v2.ok()) << served_v2.status().ToString();
-  EXPECT_EQ(*served_v1, *served_v2);
-}
+// ----------------------------------------------- trace context and stats
 
 TEST(WireSolveTest, TraceContextRoundTripsAndNeverChangesTheResponse) {
   auto c = testing_util::MakeFeasibleLpCase(24, 2, 5);
@@ -470,7 +416,7 @@ TEST(WireAdversarialTest, RejectsHostileConstraintCount) {
   BitWriter w;
   w.PutU64(1);
   w.PutU8(static_cast<uint8_t>(wire::ProblemKind::kLinearProgram));
-  w.PutU8(0);  // v2 trace flags: none.
+  w.PutU8(0);  // Trace flags: none.
   wire::ProblemCodec<LinearProgram>::EncodeProblem(c.problem, &w);
   w.PutVarU64(uint64_t{1} << 60);
   auto served = wire::ServeSolveRequestPayload(w.Release());
@@ -484,7 +430,7 @@ TEST(WireAdversarialTest, RejectsHostileVectorDimension) {
   BitWriter w;
   w.PutU64(1);
   w.PutU8(static_cast<uint8_t>(wire::ProblemKind::kLinearProgram));
-  w.PutU8(0);  // v2 trace flags: none.
+  w.PutU8(0);  // Trace flags: none.
   w.PutU32(0xFFFFFFFFu);
   auto served = wire::ServeSolveRequestPayload(w.Release());
   ASSERT_FALSE(served.ok());
@@ -504,7 +450,7 @@ TEST(WireAdversarialTest, RejectsZeroAndOversizedProblemDimension) {
       BitWriter w;
       w.PutU64(1);
       w.PutU8(static_cast<uint8_t>(kind));
-      w.PutU8(0);  // v2 trace flags: none.
+      w.PutU8(0);  // Trace flags: none.
       w.PutU32(dim);
       for (int i = 0; i < 4 + 2 * (1 << 17); ++i) {
         w.PutU8(0);  // Plenty of bytes.
