@@ -9,7 +9,6 @@
 #include "src/problems/linear_program.h"
 #include "src/problems/linear_svm.h"
 #include "src/problems/min_enclosing_ball.h"
-#include "src/solvers/coreset_meb.h"
 #include "src/util/rng.h"
 #include "src/workload/generators.h"
 
@@ -99,37 +98,6 @@ BENCHMARK(BM_MebBasisSolve)
     ->Args({1000, 2})
     ->Args({10000, 3})
     ->Args({10000, 6})
-    ->Unit(benchmark::kMicrosecond);
-
-// Exact Welzl vs the Badoiu-Clarkson (1+eps) core-set solver [42] — the
-// approximate T_b alternative core vector machines are named after.
-void BM_MebCoreset(benchmark::State& state) {
-  const size_t m = static_cast<size_t>(state.range(0));
-  const double eps = static_cast<double>(state.range(1)) / 1000.0;
-  Rng rng(0xEC);
-  auto pts = workload::GaussianCloud(m, 3, &rng);
-  CoresetMebSolver::Config cfg;
-  cfg.eps = eps;
-  CoresetMebSolver solver(cfg);
-  double radius = 0;
-  size_t coreset = 0;
-  for (auto _ : state) {
-    auto r = solver.Solve(pts);
-    radius = r.ball.radius;
-    coreset = r.coreset.size();
-    benchmark::DoNotOptimize(r);
-  }
-  WelzlSolver exact;
-  state.counters["radius_vs_exact_pct"] =
-      100.0 * radius / exact.Solve(pts).radius;
-  state.counters["coreset_size"] = static_cast<double>(coreset);
-  state.SetItemsProcessed(state.iterations() * m);
-}
-
-BENCHMARK(BM_MebCoreset)
-    ->ArgNames({"m", "eps_milli"})
-    ->Args({100000, 100})
-    ->Args({100000, 10})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_MebViolationScan(benchmark::State& state) {

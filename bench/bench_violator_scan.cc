@@ -1,10 +1,9 @@
-// Violator-scan microbenchmark: the SIMD SoA fast path against the serial
-// predicate path across dimension × size × ScanStrategy, plus the fused
-// scan-and-reweight (the engine's "evaluate the predicate once per
-// iteration" optimization).
+// Violator-scan microbenchmark: the SIMD SoA scan across dimension × size,
+// with and without a pool to fan out on, plus the fused scan-and-reweight
+// (the engine's "evaluate the predicate once per iteration" optimization).
 //
 // Counter discipline (scripts/bench_compare.py): `violators`, `viol_weight`,
-// and `fused` are deterministic on EVERY ISA and strategy — the kernels'
+// and `fused` are deterministic on EVERY ISA and pool setting — the kernels'
 // violation bitmaps are bitwise-equal to the scalar predicate, and fusion
 // keys on exact query bytes — so they are strict-gated by the bench-perf CI
 // job. Which kernel variant dispatch picks is machine-dependent (CPU
@@ -28,20 +27,10 @@
 namespace lplow {
 namespace {
 
-// state.range(2) values (keep in sync with runtime::ScanStrategy — the enum
-// is part of the RuntimeOptions API and these are its integral values).
-constexpr int64_t kSerial =
-    static_cast<int64_t>(runtime::ScanStrategy::kSerial);
-constexpr int64_t kPoolBitmap =
-    static_cast<int64_t>(runtime::ScanStrategy::kPoolBitmap);
-constexpr int64_t kSimd = static_cast<int64_t>(runtime::ScanStrategy::kSimd);
-constexpr int64_t kSimdPool =
-    static_cast<int64_t>(runtime::ScanStrategy::kSimdPool);
-
 void BM_LpViolatorScan(benchmark::State& state) {
   const size_t dim = static_cast<size_t>(state.range(0));
   const size_t n = static_cast<size_t>(state.range(1));
-  const auto strategy = static_cast<runtime::ScanStrategy>(state.range(2));
+  const bool use_pool = state.range(2) != 0;
 
   Rng rng(0x5CA9 + 31 * dim + n);
   auto inst = workload::RandomFeasibleLp(n, dim, &rng);
@@ -54,10 +43,8 @@ void BM_LpViolatorScan(benchmark::State& state) {
   auto seed = problem.SolveBasis(std::span<const Halfspace>(
       store.items().data(), std::min(n, 3 * dim + 1)));
 
-  const bool wants_pool = strategy == runtime::ScanStrategy::kPoolBitmap ||
-                          strategy == runtime::ScanStrategy::kSimdPool;
   runtime::ThreadPool pool(2);
-  engine::ScanOptions opts{wants_pool ? &pool : nullptr, strategy};
+  runtime::ThreadPool* scan_pool = use_pool ? &pool : nullptr;
 
   auto& metrics = engine::GlobalScanMetrics();
   const uint64_t fused0 = metrics.fused_reweights->value();
@@ -67,11 +54,10 @@ void BM_LpViolatorScan(benchmark::State& state) {
   engine::ViolatorStats stats;
   for (auto _ : state) {
     auto view = store.View();
-    stats = view.ScanViolators(problem, seed.value, opts);
-    // Same value again: on the kernel strategies this reweight is served
-    // from the scan's bitmap (the fused path); the predicate strategies
-    // re-evaluate every constraint.
-    view.ScaleViolatorsFused(problem, seed.value, 2.0, opts);
+    stats = view.ScanViolators(problem, seed.value, scan_pool);
+    // Same value again: this reweight is served from the scan's bitmap
+    // (the fused path).
+    view.ScaleViolatorsFused(problem, seed.value, 2.0, scan_pool);
     benchmark::DoNotOptimize(stats);
   }
 
@@ -86,24 +72,22 @@ void BM_LpViolatorScan(benchmark::State& state) {
 }
 
 BENCHMARK(BM_LpViolatorScan)
-    ->ArgNames({"d", "n", "strat"})
-    // Strategy sweep: identical violators/viol_weight on every row is the
-    // bit-identity claim; only `fused` and the times differ.
-    ->Args({8, 65536, kSerial})
-    ->Args({8, 65536, kPoolBitmap})
-    ->Args({8, 65536, kSimd})
-    ->Args({8, 65536, kSimdPool})
+    ->ArgNames({"d", "n", "pool"})
+    // Pool sweep: identical violators/viol_weight on both rows is the
+    // bit-identity claim; only the times differ.
+    ->Args({8, 65536, 0})
+    ->Args({8, 65536, 1})
     // Size sweep (straddles kParallelScanMinItems and the SoA block width).
-    ->Args({8, 1000, kSimd})
-    ->Args({8, 8192, kSimd})
+    ->Args({8, 1000, 0})
+    ->Args({8, 8192, 0})
     // Dimension sweep (lane-per-constraint: cost scales with d, the
     // bitmap does not).
-    ->Args({2, 65536, kSimd})
-    ->Args({13, 65536, kSimd})
+    ->Args({2, 65536, 0})
+    ->Args({13, 65536, 0})
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
-// End-to-end: a coordinator LP solve on the default (kAuto) strategy. The
+// End-to-end: a coordinator LP solve on the default scan path. The
 // strict-gated `rounds`/`iters` must match bench_coordinator_lp's behavior
 // exactly (fusion must not change the transcript), while `fused` > 0 shows
 // the R1 reweights really are served from the R3 scan bitmaps.

@@ -104,7 +104,7 @@ IteratedTreeMerge(const P& problem,
     std::vector<Constraint> additions;
     for (const auto& site : sites) {
       std::vector<Constraint> violated =
-          site.CollectViolators(problem, current.value, engine::ScanOptions{});
+          site.CollectViolators(problem, current.value, /*pool=*/nullptr);
       if (violated.empty()) continue;
       auto local_basis =
           problem.SolveBasis(std::span<const Constraint>(violated));

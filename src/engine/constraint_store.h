@@ -9,23 +9,23 @@
 //
 // Determinism contract: every floating-point accumulation (total weight,
 // prefix sums, violator weight) runs in ascending index order — the order
-// the pre-engine per-model loops used — and the parallel scan variants keep
-// that order by splitting the *predicate evaluation* (pure, order-free)
-// across the pool into a bitmap and accumulating serially from the bitmap.
-// Results are therefore bit-identical for every thread count, including
-// the serial reference path (null pool).
+// the pre-engine per-model loops used. The one parallel step is the
+// kernel's *predicate evaluation* (pure, order-free), which fans out over
+// the pool into a bitmap; weight and count then accumulate serially from
+// the bitmap. Results are therefore bit-identical for every thread count,
+// including the serial path (null pool).
 //
-// SIMD fast path (docs/engine.md §"SIMD violator scan"): a view carrying a
-// ScanWorkspace offers problem-aware entry points — ScanViolators,
-// ScaleViolatorsFused, CollectViolators(problem, ...) — that, for problems
-// opting in via engine::SimdScannable, evaluate the predicate with the
-// vectorized kernels of scan_kernel.h over a lazily maintained SoA mirror.
-// The kernels' bitmaps are bitwise-equal to the scalar predicate, and the
-// weight/count accumulation stays serial-ascending from the bitmap, so
-// every ScanStrategy produces bit-identical results. The workspace also
-// fuses scan and reweight: a reweight whose predicate byte-compares equal
-// to the last recorded scan query reuses the scan's bitmap instead of
-// re-evaluating every constraint.
+// SIMD fast path (docs/engine.md §"SIMD violator scan"): the problem-aware
+// entry points — ScanViolators, ScaleViolatorsFused,
+// CollectViolators(problem, ...) — evaluate `problem.Violates` with the
+// vectorized kernels of scan_kernel.h over a lazily maintained SoA mirror
+// whenever the view carries a ScanWorkspace and engine::SimdScannable
+// accepts the problem; otherwise they run the serial predicate loop. The
+// kernels' bitmaps are bitwise-equal to the scalar predicate, so both ways
+// produce bit-identical results. The workspace also fuses scan and
+// reweight: a reweight whose predicate byte-compares equal to the last
+// recorded scan query reuses the scan's bitmap instead of re-evaluating
+// every constraint.
 
 #ifndef LPLOW_ENGINE_CONSTRAINT_STORE_H_
 #define LPLOW_ENGINE_CONSTRAINT_STORE_H_
@@ -53,16 +53,9 @@ struct ViolatorStats {
   uint64_t count = 0;
 };
 
-/// Below this many items a parallel scan is all overhead; the pool-aware
-/// entry points fall back to the serial path.
+/// Below this many items a parallel scan is all overhead; the kernel path
+/// runs single-threaded even when a pool is given.
 inline constexpr size_t kParallelScanMinItems = 4096;
-
-/// How a problem-aware scan should execute: the pool to fan out on (null =
-/// serial) and the ScanStrategy picking the evaluation path.
-struct ScanOptions {
-  runtime::ThreadPool* pool = nullptr;
-  runtime::ScanStrategy strategy = runtime::ScanStrategy::kAuto;
-};
 
 /// Reusable per-store scratch: the SoA mirror, the violation-bitmap buffer
 /// (with the query it answers, for fusion), and the sampling prefix cache.
@@ -84,8 +77,6 @@ struct ScanWorkspace {
   // Violation bitmap scratch. When `bitmap_valid`, bitmap[0..bitmap_items)
   // holds the kernel verdicts for `bitmap_query` — the fusion key: a later
   // reweight/collect whose recomputed query SamePredicate-matches reuses it.
-  // The generic pool scan reuses the buffer as plain scratch (and clears
-  // the valid flag: a lambda's verdicts carry no reusable key).
   std::vector<uint8_t> bitmap;
   bool bitmap_valid = false;
   size_t bitmap_items = 0;
@@ -199,38 +190,6 @@ class ConstraintView {
     return st;
   }
 
-  /// Pool-routed violator scan, bit-identical to the serial one for every
-  /// thread count: the (pure) predicate is evaluated across the pool into a
-  /// bitmap, then weight/count accumulate serially in ascending order. With
-  /// a workspace the bitmap buffer is reused across calls instead of being
-  /// reallocated per scan.
-  template <typename Pred>
-  ViolatorStats CountViolators(runtime::ThreadPool* pool,
-                               Pred&& violates) const {
-    if (pool == nullptr || items_.size() < kParallelScanMinItems) {
-      return CountViolators(violates);
-    }
-    std::vector<uint8_t> local;
-    std::vector<uint8_t>* hit = &local;
-    if (ws_ != nullptr) {
-      hit = &ws_->bitmap;
-      ws_->bitmap_valid = false;  // lambda verdicts: no fusion key
-    }
-    hit->resize(items_.size());
-    uint8_t* bits = hit->data();
-    runtime::ParallelFor(pool, 0, items_.size(), [&](size_t i) {
-      bits[i] = violates(items_[i]) ? 1 : 0;
-    });
-    ViolatorStats st;
-    for (size_t i = 0; i < items_.size(); ++i) {
-      if (bits[i]) {
-        st.weight += weight(i);
-        ++st.count;
-      }
-    }
-    return st;
-  }
-
   /// Multiplies the weight of every item with `violates(item)` by `rate`,
   /// saturating at `ceiling`. Requires a weighted view (vacuously fine on an
   /// empty one). The default ceiling (infinity) is the classic unbounded
@@ -251,24 +210,6 @@ class ConstraintView {
     }
   }
 
-  /// Pool-routed reweighting: each update touches only its own slot, so the
-  /// result is exactly the serial one for every thread count.
-  template <typename Pred>
-  void ScaleViolators(runtime::ThreadPool* pool, Pred&& violates, double rate,
-                      double ceiling = std::numeric_limits<double>::infinity()) {
-    if (pool == nullptr || items_.size() < kParallelScanMinItems) {
-      ScaleViolators(violates, rate, ceiling);
-      return;
-    }
-    LPLOW_CHECK_EQ(weights_.size(), items_.size());
-    if (ws_ != nullptr) ws_->InvalidateWeights();
-    runtime::ParallelFor(pool, 0, items_.size(), [&](size_t i) {
-      if (violates(items_[i])) {
-        weights_[i] = std::min(weights_[i] * rate, ceiling);
-      }
-    });
-  }
-
   /// Copies of all items for which `violates(item)` holds, in index order.
   template <typename Pred>
   std::vector<C> CollectViolators(Pred&& violates) const {
@@ -283,10 +224,12 @@ class ConstraintView {
   // Problem-aware entry points (the SIMD + fusion fast path). All three are
   // drop-in replacements for the predicate overloads with
   // `[&](const C& c) { return problem.Violates(value, c); }`: same results
-  // to the bit for every strategy, pool, and ISA. They take the fast path
-  // only when the view carries a workspace, the strategy allows kernels,
-  // and SimdScannable<P> accepts the problem — otherwise they fall back to
-  // the predicate overloads above.
+  // to the bit for every pool and ISA. They run the kernel whenever the
+  // view carries a workspace and SimdScannable<P> accepts the problem,
+  // fanning out over `pool` when it is non-null and the view holds at least
+  // kParallelScanMinItems items. Otherwise — no workspace, a dimension
+  // mismatch (kUnsupported), or a mirror the trait declined — they run the
+  // serial predicate overloads above.
   // ------------------------------------------------------------------------
 
   /// Violator scan via `problem.Violates(value, ·)`. On the kernel path the
@@ -294,11 +237,11 @@ class ConstraintView {
   /// the fused reweight/collect below.
   template <typename P, typename V>
   ViolatorStats ScanViolators(const P& problem, const V& value,
-                              const ScanOptions& opts) const {
+                              runtime::ThreadPool* pool) const {
     GlobalScanMetrics().requests->Increment();
     if (items_.empty()) return {};
     if constexpr (SimdScannable<P>::enabled) {
-      if (KernelEligible(opts.strategy) && EnsureMirror(problem)) {
+      if (ws_ != nullptr && EnsureMirror(problem)) {
         ScanQuery query =
             SimdScannable<P>::MakeQuery(problem, value, ws_->soa.dim());
         switch (query.mode) {
@@ -311,7 +254,7 @@ class ConstraintView {
             return st;
           }
           case ScanQuery::Mode::kKernel: {
-            FillBitmap(std::move(query), opts);
+            FillBitmap(std::move(query), pool);
             ViolatorStats st;
             const uint8_t* bits = ws_->bitmap.data();
             for (size_t i = 0; i < items_.size(); ++i) {
@@ -327,11 +270,8 @@ class ConstraintView {
         }
       }
     }
-    auto pred = [&](const C& c) { return problem.Violates(value, c); };
-    if (opts.strategy == runtime::ScanStrategy::kSerial) {
-      return CountViolators(pred);
-    }
-    return CountViolators(opts.pool, pred);
+    return CountViolators(
+        [&](const C& c) { return problem.Violates(value, c); });
   }
 
   /// Reweighting via `problem.Violates(value, ·)`. When the workspace holds
@@ -343,13 +283,13 @@ class ConstraintView {
   /// evaluation; the fusion is an optimization, never an assumption.
   template <typename P, typename V>
   void ScaleViolatorsFused(
-      const P& problem, const V& value, double rate, const ScanOptions& opts,
+      const P& problem, const V& value, double rate, runtime::ThreadPool* pool,
       double ceiling = std::numeric_limits<double>::infinity()) {
     GlobalScanMetrics().requests->Increment();
     if (items_.empty()) return;
     LPLOW_CHECK_EQ(weights_.size(), items_.size());
     if constexpr (SimdScannable<P>::enabled) {
-      if (KernelEligible(opts.strategy) && EnsureMirror(problem)) {
+      if (ws_ != nullptr && EnsureMirror(problem)) {
         ScanQuery query =
             SimdScannable<P>::MakeQuery(problem, value, ws_->soa.dim());
         switch (query.mode) {
@@ -357,17 +297,17 @@ class ConstraintView {
             return;
           case ScanQuery::Mode::kAllViolate: {
             ws_->InvalidateWeights();
-            ScaleAll(rate, ceiling, opts);
+            ScaleAll(rate, ceiling, pool);
             return;
           }
           case ScanQuery::Mode::kKernel: {
             if (BitmapCurrent(query)) {
               GlobalScanMetrics().fused_reweights->Increment();
             } else {
-              FillBitmap(std::move(query), opts);
+              FillBitmap(std::move(query), pool);
             }
             ws_->InvalidateWeights();
-            ScaleFromBitmap(rate, ceiling, opts);
+            ScaleFromBitmap(rate, ceiling, pool);
             return;
           }
           case ScanQuery::Mode::kUnsupported:
@@ -375,24 +315,20 @@ class ConstraintView {
         }
       }
     }
-    auto pred = [&](const C& c) { return problem.Violates(value, c); };
-    if (opts.strategy == runtime::ScanStrategy::kSerial) {
-      ScaleViolators(pred, rate, ceiling);
-      return;
-    }
-    ScaleViolators(opts.pool, pred, rate, ceiling);
+    ScaleViolators([&](const C& c) { return problem.Violates(value, c); },
+                   rate, ceiling);
   }
 
   /// Violator collection via `problem.Violates(value, ·)`, in index order.
   /// Reuses a current bitmap (or runs the kernel) like the scan above.
   template <typename P, typename V>
   std::vector<C> CollectViolators(const P& problem, const V& value,
-                                  const ScanOptions& opts) const {
+                                  runtime::ThreadPool* pool) const {
     GlobalScanMetrics().requests->Increment();
     std::vector<C> out;
     if (items_.empty()) return out;
     if constexpr (SimdScannable<P>::enabled) {
-      if (KernelEligible(opts.strategy) && EnsureMirror(problem)) {
+      if (ws_ != nullptr && EnsureMirror(problem)) {
         ScanQuery query =
             SimdScannable<P>::MakeQuery(problem, value, ws_->soa.dim());
         switch (query.mode) {
@@ -402,7 +338,7 @@ class ConstraintView {
             out.assign(items_.begin(), items_.end());
             return out;
           case ScanQuery::Mode::kKernel: {
-            if (!BitmapCurrent(query)) FillBitmap(std::move(query), opts);
+            if (!BitmapCurrent(query)) FillBitmap(std::move(query), pool);
             const uint8_t* bits = ws_->bitmap.data();
             for (size_t i = 0; i < items_.size(); ++i) {
               if (bits[i]) out.push_back(items_[i]);
@@ -426,20 +362,6 @@ class ConstraintView {
       acc += weight(i);
       (*prefix)[i] = acc;
     }
-  }
-
-  bool KernelEligible(runtime::ScanStrategy strategy) const {
-    if (ws_ == nullptr) return false;
-    switch (strategy) {
-      case runtime::ScanStrategy::kAuto:
-      case runtime::ScanStrategy::kSimd:
-      case runtime::ScanStrategy::kSimdPool:
-        return true;
-      case runtime::ScanStrategy::kSerial:
-      case runtime::ScanStrategy::kPoolBitmap:
-        return false;
-    }
-    return false;
   }
 
   /// Extends the SoA mirror to cover every item (lazy sync with Append).
@@ -485,22 +407,19 @@ class ConstraintView {
   }
 
   /// Runs the kernel over every lane into the workspace bitmap and records
-  /// the query key. Pool-chunked on kSoaBlockWidth boundaries when the
-  /// strategy + pool + size allow (chunks never write past their own padded
-  /// block, so the fan-out is race-free); accumulation stays with callers,
-  /// reading the bitmap serially.
-  void FillBitmap(ScanQuery query, const ScanOptions& opts) const {
+  /// the query key. Pool-chunked on kSoaBlockWidth boundaries when a pool
+  /// is given and the view is large (chunks never write past their own
+  /// padded block, so the fan-out is race-free); accumulation stays with
+  /// callers, reading the bitmap serially.
+  void FillBitmap(ScanQuery query, runtime::ThreadPool* pool) const {
     ScanWorkspace& ws = *ws_;
     const size_t n = items_.size();
     const size_t padded = SoaPaddedSize(n);
     ws.bitmap.resize(padded);
     uint8_t* bits = ws.bitmap.data();
-    const bool pooled = opts.pool != nullptr &&
-                        opts.strategy != runtime::ScanStrategy::kSimd &&
-                        n >= kParallelScanMinItems;
-    if (pooled) {
+    if (pool != nullptr && n >= kParallelScanMinItems) {
       const size_t blocks = padded / kSoaBlockWidth;
-      runtime::ParallelFor(opts.pool, 0, blocks, [&](size_t b) {
+      runtime::ParallelFor(pool, 0, blocks, [&](size_t b) {
         const size_t lo = b * kSoaBlockWidth;
         RunScanKernel(ws.soa, query, bits, lo,
                       std::min(lo + kSoaBlockWidth, n), nullptr, nullptr);
@@ -519,26 +438,27 @@ class ConstraintView {
     ws.bitmap_query = std::move(query);
   }
 
-  void ScaleAll(double rate, double ceiling, const ScanOptions& opts) {
+  void ScaleAll(double rate, double ceiling, runtime::ThreadPool* pool) {
     double* w = weights_.data();
     auto update = [rate, ceiling, w](size_t i) {
       w[i] = std::min(w[i] * rate, ceiling);
     };
-    if (opts.pool != nullptr && items_.size() >= kParallelScanMinItems) {
-      runtime::ParallelFor(opts.pool, 0, items_.size(), update);
+    if (pool != nullptr && items_.size() >= kParallelScanMinItems) {
+      runtime::ParallelFor(pool, 0, items_.size(), update);
     } else {
       for (size_t i = 0; i < items_.size(); ++i) update(i);
     }
   }
 
-  void ScaleFromBitmap(double rate, double ceiling, const ScanOptions& opts) {
+  void ScaleFromBitmap(double rate, double ceiling,
+                       runtime::ThreadPool* pool) {
     const uint8_t* bits = ws_->bitmap.data();
     double* w = weights_.data();
     auto update = [rate, ceiling, w, bits](size_t i) {
       if (bits[i]) w[i] = std::min(w[i] * rate, ceiling);
     };
-    if (opts.pool != nullptr && items_.size() >= kParallelScanMinItems) {
-      runtime::ParallelFor(opts.pool, 0, items_.size(), update);
+    if (pool != nullptr && items_.size() >= kParallelScanMinItems) {
+      runtime::ParallelFor(pool, 0, items_.size(), update);
     } else {
       for (size_t i = 0; i < items_.size(); ++i) update(i);
     }

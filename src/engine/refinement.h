@@ -19,10 +19,11 @@
 //
 // Concurrency: oversized sample bases (and the fallback direct solve) are
 // dispatched through the injectable runtime::SolveBackend seam
-// (RefinementPolicy::solver_backend — e.g. a ShardedSolverService) or, by
-// default, as a task on RefinementPolicy::pool; the transports route their
-// violator scans through SiteExecutor / ConstraintView's pool-aware scans —
-// identical results at every thread count and every shard count.
+// (RefinementPolicy::solver_backend — e.g. a ShardedSolverService) when one
+// is set, and solved inline on the calling thread otherwise; the transports
+// run their violator scans as SiteExecutor rounds whose per-store kernels
+// fan out over RefinementPolicy::pool — identical results at every thread
+// count and every shard count.
 // docs/engine.md documents the contract and how to add a model.
 
 #ifndef LPLOW_ENGINE_REFINEMENT_H_
@@ -64,15 +65,17 @@ struct RefinementPolicy {
   bool fallback_to_direct = true;
   /// Solver name for the fallback warning log ("SolveCoordinator", ...).
   const char* name = "RunRefinement";
-  /// Basis solves on samples of at least `oversized_basis_threshold`
-  /// constraints run as a pool task (null pool: inline, the serial path).
+  /// The pool the transports' per-site rounds and large violator scans fan
+  /// out on (null = serial).
   runtime::ThreadPool* pool = nullptr;
+  /// Basis solves on samples of at least this many constraints count as
+  /// oversized (engine.oversized_basis_solves).
   size_t oversized_basis_threshold = 4096;
   /// Injectable dispatch seam for the oversized and Las Vegas fallback
   /// solves: when set, they run through `solver_backend->Execute` (e.g. on
-  /// a ShardedSolverService) instead of a task on `pool`. Pure dispatch —
-  /// the solve, its result, and every deterministic counter are identical
-  /// whichever backend runs it.
+  /// a ShardedSolverService); when null, inline on the calling thread. Pure
+  /// dispatch — the solve, its result, and every deterministic counter are
+  /// identical whichever backend runs it.
   runtime::SolveBackend* solver_backend = nullptr;
   /// Routing-key base for backend dispatches (stable per run; the model
   /// solvers use their seed). Each dispatch derives its own key from this
@@ -84,15 +87,6 @@ struct RefinementPolicy {
   /// never touch solver state, so transcripts and deterministic counters
   /// are identical with tracing on or off.
   runtime::trace::TraceRecorder* trace = nullptr;
-  /// How the transports execute their violator scans (the SIMD / fusion
-  /// seam of constraint_store.h). Pure execution policy: bitmaps, weights,
-  /// transcripts, and deterministic counters are bit-identical for every
-  /// setting (docs/engine.md §"SIMD violator scan").
-  runtime::ScanStrategy scan_strategy = runtime::ScanStrategy::kAuto;
-
-  /// The scan-execution knobs the transports hand to ConstraintView's
-  /// problem-aware entry points.
-  ScanOptions scan_options() const { return {pool, scan_strategy}; }
 };
 
 /// Computes the Algorithm 1 parameters for problem size n and rate
@@ -132,7 +126,6 @@ inline void ApplyRuntimeOptions(RefinementPolicy& policy,
     policy.oversized_basis_threshold = runtime.oversized_basis_threshold;
   }
   policy.trace = runtime.trace;
-  policy.scan_strategy = runtime.scan_strategy;
 }
 
 /// What one violator scan reports back to the engine. `total_weight` is
@@ -210,13 +203,14 @@ concept RefinementTransport =
 };
 // clang-format on
 
-/// Basis of `sample`, routed through the policy's SolveBackend (or its
-/// pool) when the sample is oversized. The solve itself is unchanged
-/// (bit-identical result) and the caller still blocks on it — the routing
-/// is a dispatch seam (plus the oversized-solve accounting), not
-/// intra-solve parallelism. `solve_seq` numbers the dispatch within the run
-/// (iteration index; the fallback uses the iteration cap) so a sharded
-/// backend spreads a run's solves deterministically.
+/// Basis of `sample`, routed through the policy's SolveBackend when the
+/// sample is oversized and a backend is set; solved inline on the calling
+/// thread otherwise. The solve itself is unchanged (bit-identical result)
+/// and the caller blocks on it either way — the routing is a dispatch seam
+/// (plus the oversized-solve accounting), not intra-solve parallelism.
+/// `solve_seq` numbers the dispatch within the run (iteration index; the
+/// fallback uses the iteration cap) so a sharded backend spreads a run's
+/// solves deterministically.
 ///
 /// Backends that want serialized jobs (WantsSerialized — e.g. a
 /// SocketSolveBackend talking to an `lp_served` daemon) get the sample as a
@@ -239,15 +233,10 @@ BasisResult<typename P::Value, typename P::Constraint> SolveSampleBasis(
     out = problem.SolveBasis(
         std::span<const typename P::Constraint>(sample.data(), sample.size()));
   };
-  const bool oversized =
-      sample.size() >= policy.oversized_basis_threshold &&
-      (policy.solver_backend != nullptr || policy.pool != nullptr);
-  if (oversized) {
-    metrics.oversized_basis_solves->Increment();
-    runtime::InlinePoolBackend inline_backend(policy.pool);
-    runtime::SolveBackend* backend = policy.solver_backend != nullptr
-                                         ? policy.solver_backend
-                                         : &inline_backend;
+  const bool oversized = sample.size() >= policy.oversized_basis_threshold;
+  if (oversized) metrics.oversized_basis_solves->Increment();
+  runtime::SolveBackend* backend = policy.solver_backend;
+  if (oversized && backend != nullptr) {
     const uint64_t dispatch_id = runtime::DeriveJobId(policy.job_id, solve_seq);
     if constexpr (runtime::wire::WireSolvable<P>) {
       if (backend->WantsSerialized()) {
@@ -309,7 +298,7 @@ Result<BasisResult<typename P::Value, typename P::Constraint>> RunRefinement(
       iter_span.Arg("bytes", bytes);
     }
 
-    // --- basis of the sample (backend/pool-routed when oversized).
+    // --- basis of the sample (backend-routed when oversized).
     auto basis = SolveSampleBasis(problem, *sample, policy, iter);
 
     // --- violator scan (model-transported).

@@ -5,20 +5,22 @@
 // vectorize ACROSS constraints — one lane per constraint, looping over
 // dimensions — so each lane's floating-point accumulation order is exactly
 // the per-constraint order of the scalar predicate (`problem.Violates`).
-// Multiplies and adds are never fused (the kernel translation unit builds
-// with -ffp-contract=off), comparisons reproduce the scalar NaN semantics,
-// and sqrt is IEEE correctly-rounded on every target — so the violation
-// bitmap is bitwise-equal to the scalar reference on every ISA, which is
-// what lets the engine_equivalence goldens hold with SIMD forced on.
+// Multiplies and adds are never fused (every target builds with
+// -ffp-contract=off, root CMakeLists.txt), comparisons reproduce the scalar
+// NaN semantics, and sqrt is IEEE correctly-rounded on every target — so
+// the violation bitmap is bitwise-equal to the scalar reference on every
+// ISA, which is what lets the engine_equivalence goldens hold on every
+// kernel variant.
 //
 // Dispatch: AVX2 (x86-64) and NEON (aarch64) kernels are compiled alongside
 // an always-built scalar reference; the fastest supported variant is picked
 // once at startup. LPLOW_FORCE_SCALAR_SCAN=1 disables the vector variants
 // (the CI forced-scalar lane), changing nothing but the time per scan.
 //
-// Problems opt in via the SimdScannable trait (specialized next to each
-// problem: LinearProgram / LinearSvm / MinEnclosingBall); everything else
-// keeps the predicate-lambda scan paths untouched.
+// Problems opt in via the SimdScannable trait, specialized next to each
+// problem: all six shipped ones (LinearProgram, LinearSvm,
+// MinEnclosingBall, ChebyshevCenter, LinfRegression, EnclosingAnnulus) do.
+// Anything else runs ConstraintView's serial predicate loop.
 
 #ifndef LPLOW_ENGINE_SCAN_KERNEL_H_
 #define LPLOW_ENGINE_SCAN_KERNEL_H_

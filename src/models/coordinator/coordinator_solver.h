@@ -24,13 +24,14 @@
 // Concurrency: with CoordinatorOptions::runtime.num_threads > 1 the k sites
 // of each round run in parallel on a runtime::ThreadPool (the protocol's
 // sites are independent between barriers), per-site reply *parsing* runs
-// inside the same round, site-local violator scans route through the
-// store's pool-aware bitmap scan, and the engine runs oversized sample
-// bases as pool tasks. Each site owns its RNG stream
-// (Rng::ForkStream(site_id)) and per-site reply slot, replies are merged in
-// site order at the round barrier, and Channel accounting is
-// order-independent — so bases, byte counts, and round counts are
-// bit-identical for every thread count.
+// inside the same round, and site-local violator scans fan the SIMD kernel
+// out over the same pool once a site holds kParallelScanMinItems
+// constraints. Oversized sample bases are solved inline on the driver
+// thread, or through RuntimeOptions::solver_backend when one is set. Each
+// site owns its RNG stream (Rng::ForkStream(site_id)) and per-site reply
+// slot, replies are merged in site order at the round barrier, and Channel
+// accounting is order-independent — so bases, byte counts, and round
+// counts are bit-identical for every thread count.
 
 #ifndef LPLOW_MODELS_COORDINATOR_COORDINATOR_SOLVER_H_
 #define LPLOW_MODELS_COORDINATOR_COORDINATOR_SOLVER_H_
@@ -92,11 +93,11 @@ template <LpTypeProblem P>
 class Site {
  public:
   Site(const P* problem, std::vector<typename P::Constraint> constraints,
-       Rng rng, engine::ScanOptions scan)
+       Rng rng, runtime::ThreadPool* pool)
       : problem_(problem),
         store_(std::move(constraints)),
         rng_(std::move(rng)),
-        scan_(scan) {}
+        pool_(pool) {}
 
   /// R1: apply the previous reweighting decision (if any), reply total weight.
   /// The reweight is against the basis the site just scanned in R3, so the
@@ -108,7 +109,7 @@ class Site {
     if (apply) {
       double rate = *r.GetDouble();
       auto basis_value = DeserializeValueMarker(&r);
-      store_.View().ScaleViolatorsFused(*problem_, basis_value, rate, scan_);
+      store_.View().ScaleViolatorsFused(*problem_, basis_value, rate, pool_);
     }
     BitWriter w;
     w.PutDouble(store_.View().TotalWeight());
@@ -134,7 +135,7 @@ class Site {
     BitReader r(request);
     last_basis_value_ = DeserializeValueMarker(&r);
     engine::ViolatorStats stats =
-        store_.View().ScanViolators(*problem_, last_basis_value_, scan_);
+        store_.View().ScanViolators(*problem_, last_basis_value_, pool_);
     BitWriter w;
     w.PutDouble(stats.weight);
     w.PutVarU64(stats.count);
@@ -166,7 +167,7 @@ class Site {
   const P* problem_;
   engine::ConstraintStore<typename P::Constraint> store_;
   Rng rng_;
-  engine::ScanOptions scan_;
+  runtime::ThreadPool* pool_;
   typename P::Value last_basis_value_{};
 };
 
@@ -403,7 +404,7 @@ SolveCoordinator(const P& problem,
   sites.reserve(k);
   for (size_t i = 0; i < k; ++i) {
     sites.emplace_back(&problem, std::move(partitions[i]), rng.ForkStream(i),
-                       policy.scan_options());
+                       policy.pool);
   }
 
   internal::CoordinatorTransport<P> transport(problem, sites, ch, exec, rng,

@@ -41,10 +41,11 @@
 // tests/engine_equivalence_test.cc, tests/sharded_service_test.cc).
 //
 // Concurrency: per-block candidate selection, violator scans, and
-// reweighting run as runtime::SiteExecutor rounds (block-local scans route
-// through ConstraintView's pool-aware bitmap scan), and the engine
-// dispatches oversized sample bases and the fallback solve through the
-// runtime::SolveBackend seam — exactly like the three randomized models.
+// reweighting run as runtime::SiteExecutor rounds (block-local scans fan
+// the SIMD kernel out over the same pool once a block is large), and the
+// engine dispatches oversized sample bases and the fallback solve through
+// the runtime::SolveBackend seam when one is set (inline otherwise) —
+// exactly like the three randomized models.
 
 #ifndef LPLOW_MODELS_DETERMINISTIC_DETERMINISTIC_SOLVER_H_
 #define LPLOW_MODELS_DETERMINISTIC_DETERMINISTIC_SOLVER_H_
@@ -215,7 +216,7 @@ class DeterministicTransport {
       auto view = blocks_[i].View();
       total[i] = view.TotalWeight();
       engine::ViolatorStats local =
-          view.ScanViolators(problem_, basis.value, policy_.scan_options());
+          view.ScanViolators(problem_, basis.value, policy_.pool);
       violating[i] = local.weight;
       counts[i] = local.count;
     });
@@ -241,7 +242,7 @@ class DeterministicTransport {
     exec_.RunRound([&](size_t i) {
       blocks_[i].View().ScaleViolatorsFused(problem_, basis.value,
                                             policy_.rate,
-                                            policy_.scan_options(),
+                                            policy_.pool,
                                             kDeterministicWeightCeiling);
     });
   }

@@ -22,11 +22,13 @@
 //
 // Concurrency: with MpcOptions::runtime.num_threads > 1 the per-machine
 // phases of each round (reweighting, local totals, local draws, violator
-// counts) run in parallel on a runtime::ThreadPool, per-machine violator
-// scans route through the store's pool-aware bitmap scan, and the engine
-// runs oversized sample bases as pool tasks. Each machine owns a forked RNG
-// stream (Rng::ForkStream, seeded in machine order from the root seed) and
-// writes to per-machine slots merged after the round barrier; the
+// counts) run in parallel on a runtime::ThreadPool, and per-machine
+// violator scans fan the SIMD kernel out over the same pool once a machine
+// holds kParallelScanMinItems constraints. The root's oversized sample
+// bases are solved inline on the driver thread, or through
+// RuntimeOptions::solver_backend when one is set. Each machine owns a
+// forked RNG stream (Rng::ForkStream, seeded in machine order from the root
+// seed) and writes to per-machine slots merged after the round barrier; the
 // tree-structured communication itself stays on the driver thread in fixed
 // order. Results and load accounting are bit-identical for every thread
 // count.
@@ -137,7 +139,7 @@ class MpcTransport {
       // way).
       exec_.RunRound([&](size_t i) {
         mach_[i].store.View().ScaleViolatorsFused(
-            problem_, pending_value_, policy_.rate, policy_.scan_options());
+            problem_, pending_value_, policy_.rate, policy_.pool);
       });
       pending_update_ = false;
     }
@@ -225,7 +227,7 @@ class MpcTransport {
     std::vector<size_t> vc(machines, 0);
     exec_.RunRound([&](size_t i) {
       engine::ViolatorStats local = mach_[i].store.View().ScanViolators(
-          problem_, basis.value, policy_.scan_options());
+          problem_, basis.value, policy_.pool);
       vw[i] = local.weight;
       vc[i] = static_cast<size_t>(local.count);
     });

@@ -18,17 +18,15 @@
 // the initial sampling pass, matching the paper's O(nu * r) pass bound; a
 // simpler 2-passes-per-iteration mode is available for comparison.
 //
-// Concurrency: the pass itself is inherently sequential (the reservoir
-// consumes RNG draws in stream order), but with
-// StreamingOptions::runtime.num_threads > 1 the engine runs oversized
-// sample bases as runtime::ThreadPool tasks. Results are bit-identical for
-// every thread count.
+// Concurrency: none. The pass is inherently sequential (the reservoir
+// consumes RNG draws in stream order) and the engine solves sample bases
+// inline, so StreamingOptions::runtime's thread settings have no effect;
+// its solve backend still receives the oversized sample bases.
 
 #ifndef LPLOW_MODELS_STREAMING_STREAMING_SOLVER_H_
 #define LPLOW_MODELS_STREAMING_STREAMING_SOLVER_H_
 
 #include <cmath>
-#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -41,7 +39,6 @@
 #include "src/engine/refinement.h"
 #include "src/models/streaming/stream.h"
 #include "src/runtime/metrics.h"
-#include "src/runtime/site_executor.h"
 #include "src/runtime/thread_pool.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
@@ -61,8 +58,9 @@ struct StreamingOptions {
   /// Iteration cap; 0 = automatic (ClarksonIterationCap).
   size_t max_iterations = 0;
   uint64_t seed = 0x57AE4131ULL;
-  /// Pool for the engine's oversized basis solves; the default is the
-  /// serial reference path. Results are bit-identical for every setting.
+  /// Engine dispatch knobs (solve backend, oversized threshold, trace);
+  /// the thread settings are ignored. Results are bit-identical for every
+  /// setting.
   runtime::RuntimeOptions runtime;
 };
 
@@ -78,7 +76,6 @@ struct StreamingStats {
   size_t violation_tests = 0;
   size_t sample_bytes = 0;  // Serialized bytes of all eps-net samples drawn.
   bool direct_solve = false;
-  size_t threads = 1;
 };
 
 namespace internal {
@@ -290,12 +287,6 @@ Result<BasisResult<typename P::Value, typename P::Constraint>> SolveStreaming(
   SpaceMeter space;
   Rng rng(options.seed);
 
-  std::unique_ptr<runtime::ThreadPool> owned_pool;
-  runtime::ThreadPool* pool = runtime::ResolvePool(options.runtime, &owned_pool);
-  st.threads = pool != nullptr && pool->num_threads() > 1
-                   ? pool->num_threads()
-                   : 1;
-
   auto& metrics = runtime::MetricsRegistry::Global();
   metrics.GetCounter("streaming.solves")->Increment();
   runtime::ScopedTimer solve_timer(
@@ -308,7 +299,6 @@ Result<BasisResult<typename P::Value, typename P::Constraint>> SolveStreaming(
                               ? options.max_iterations
                               : ClarksonIterationCap(nu, options.r);
   policy.name = "SolveStreaming";
-  policy.pool = pool;
   engine::ApplyRuntimeOptions(policy, options.runtime, options.seed);
   st.sample_size = policy.sample_size;
 

@@ -4,11 +4,12 @@
 // The engine's RunRefinement loop blocks on every basis solve, so *where*
 // the solve runs is pure dispatch policy: the result, and with it every
 // deterministic counter (rounds, bytes, iters, resample bytes), is
-// bit-identical whichever backend executes it. The default backend is the
-// caller's own pool (InlinePoolBackend, the pre-seam behavior); a
-// ShardedSolverService routes the same solves across N shards for the
-// heavy-traffic scenario. docs/runtime.md §"Sharded solver backend"
-// documents the routing rule and the determinism contract.
+// bit-identical whichever backend executes it. With no backend set the
+// engine solves inline on the calling thread; a ShardedSolverService routes
+// the same solves across N shards for the heavy-traffic scenario, and a
+// SocketSolveBackend ships them to an `lp_served` daemon.
+// docs/runtime.md §"Sharded solver backend" documents the routing rule and
+// the determinism contract.
 
 #ifndef LPLOW_RUNTIME_SOLVE_BACKEND_H_
 #define LPLOW_RUNTIME_SOLVE_BACKEND_H_
@@ -16,8 +17,6 @@
 #include <cstdint>
 #include <functional>
 #include <vector>
-
-#include "src/runtime/thread_pool.h"
 
 namespace lplow {
 namespace runtime {
@@ -80,28 +79,6 @@ class SolveBackend {
     (void)response;
     return false;
   }
-};
-
-/// The default backend: run on `pool` via a helping TaskGroup wait, or
-/// inline when `pool` is null — exactly the dispatch the engine used before
-/// the seam existed.
-class InlinePoolBackend final : public SolveBackend {
- public:
-  explicit InlinePoolBackend(ThreadPool* pool) : pool_(pool) {}
-
-  void Execute(uint64_t /*job_id*/, const char* /*kind*/,
-               const std::function<void()>& task) override {
-    if (pool_ == nullptr) {
-      task();
-      return;
-    }
-    TaskGroup group(pool_);
-    group.Run(task);
-    group.Wait();
-  }
-
- private:
-  ThreadPool* pool_;
 };
 
 }  // namespace runtime

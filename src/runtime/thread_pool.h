@@ -105,25 +105,6 @@ namespace trace {
 class TraceRecorder;  // trace.h
 }
 
-/// How the engine's violator scans execute (engine/constraint_store.h).
-/// Pure execution policy: violation bitmaps — and therefore transcripts,
-/// weights, and deterministic counters — are bit-identical for every
-/// setting (docs/engine.md §"SIMD violator scan").
-enum class ScanStrategy : uint8_t {
-  /// SIMD kernel when the problem supports it, pool-chunked when a pool is
-  /// available and the store is large; the default.
-  kAuto,
-  /// The serial predicate-lambda reference path, no SIMD, no fusion.
-  kSerial,
-  /// Predicate-lambda evaluation fanned across the pool into a bitmap
-  /// (the pre-SIMD pool path).
-  kPoolBitmap,
-  /// SIMD kernel, single-threaded even when a pool is available.
-  kSimd,
-  /// SIMD kernel with pool-chunked block ranges.
-  kSimdPool,
-};
-
 /// Threading knob shared by the model solvers (CoordinatorOptions::runtime,
 /// MpcOptions::runtime). The default is the serial reference path; results
 /// are bit-identical for every setting.
@@ -134,22 +115,19 @@ struct RuntimeOptions {
   /// overrides num_threads when set.
   ThreadPool* pool = nullptr;
   /// Where the engine's oversized-basis and Las Vegas fallback solves run
-  /// (e.g. a ShardedSolverService); null = dispatch on the solver's own
-  /// pool. Pure dispatch policy: results and deterministic counters are
+  /// (e.g. a ShardedSolverService); null = inline on the calling thread.
+  /// Pure dispatch policy: results and deterministic counters are
   /// bit-identical for every backend (docs/runtime.md §"Sharded solver
   /// backend").
   SolveBackend* solver_backend = nullptr;
-  /// Sample sizes at or above this route through the backend/pool instead
-  /// of solving inline; 0 = the engine default (4096).
+  /// Sample sizes at or above this count as oversized and route through
+  /// the backend (when one is set); 0 = the engine default (4096).
   size_t oversized_basis_threshold = 0;
   /// Span recorder for the engine's iteration / violator-scan / basis-solve
   /// spans (docs/runtime.md §"Tracing and histograms"); null or disabled =
   /// no tracing. Observability only — enabling it never changes results,
   /// transcripts, or deterministic counters. Must outlive the solve.
   trace::TraceRecorder* trace = nullptr;
-  /// Violator-scan execution policy (see ScanStrategy). Results are
-  /// bit-identical for every setting.
-  ScanStrategy scan_strategy = ScanStrategy::kAuto;
 };
 
 /// Resolves RuntimeOptions to the pool a solver should use: the external

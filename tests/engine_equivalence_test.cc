@@ -13,11 +13,11 @@
 // behavior-preserving restructuring.
 //
 // Every case runs at num_threads in {1, 2, 8}: the engine's violator scans
-// and oversized basis solves are routed through runtime::ThreadPool /
-// SiteExecutor, and the transcript must not depend on the thread count.
-// The stored-set models additionally re-run with the SIMD violator-scan
-// strategy forced on (kSimd) and off (kSerial): the vector kernels promise
-// bitwise-identical violation bitmaps, so the same goldens must hold.
+// are routed through runtime::ThreadPool / SiteExecutor, and the transcript
+// must not depend on the thread count. The vector scan kernels promise
+// bitmaps bitwise-identical to the scalar reference kernel, so the same
+// goldens must also hold with LPLOW_FORCE_SCALAR_SCAN=1 (the CI
+// release-scalar-scan lane runs this suite that way).
 //
 // The fourth (sampling-free deterministic) model rides with its own golden
 // per instance, captured when the model shipped: it has no pre-engine
@@ -115,13 +115,11 @@ template <LpTypeProblem P>
 Fingerprint RunCoordinator(
     const P& problem,
     const std::vector<std::vector<typename P::Constraint>>& parts,
-    size_t threads, typename P::Value* value_out,
-    runtime::ScanStrategy scan = runtime::ScanStrategy::kAuto) {
+    size_t threads, typename P::Value* value_out) {
   coord::CoordinatorOptions opt;
   opt.net.scale = 0.1;
   opt.seed = 0xE4A11CE5ULL;
   opt.runtime.num_threads = threads;
-  opt.runtime.scan_strategy = scan;
   coord::CoordinatorStats stats;
   auto result = coord::SolveCoordinator(problem, parts, opt, &stats);
   EXPECT_TRUE(result.ok());
@@ -137,14 +135,12 @@ template <LpTypeProblem P>
 Fingerprint RunMpc(const P& problem,
                    const std::vector<std::vector<typename P::Constraint>>&
                        parts,
-                   size_t threads, typename P::Value* value_out,
-                   runtime::ScanStrategy scan = runtime::ScanStrategy::kAuto) {
+                   size_t threads, typename P::Value* value_out) {
   mpc::MpcOptions opt;
   opt.delta = 0.5;
   opt.net.scale = 0.1;
   opt.seed = 0x3B61DE45ULL;
   opt.runtime.num_threads = threads;
-  opt.runtime.scan_strategy = scan;
   mpc::MpcStats stats;
   auto result = mpc::SolveMpc(problem, parts, opt, &stats);
   EXPECT_TRUE(result.ok());
@@ -180,14 +176,12 @@ template <LpTypeProblem P>
 Fingerprint RunDeterministic(
     const P& problem,
     const std::vector<std::vector<typename P::Constraint>>& parts,
-    size_t threads, typename P::Value* value_out,
-    runtime::ScanStrategy scan = runtime::ScanStrategy::kAuto) {
+    size_t threads, typename P::Value* value_out) {
   det::DeterministicOptions opt;
   opt.net.scale = 0.1;
   // No seed: the model draws zero random bits, so its golden pins the
   // transcript across reruns as well as thread counts.
   opt.runtime.num_threads = threads;
-  opt.runtime.scan_strategy = scan;
   det::DeterministicStats stats;
   auto result = det::SolveDeterministic(problem, parts, opt, &stats);
   EXPECT_TRUE(result.ok());
@@ -235,22 +229,6 @@ void CheckInstance(const char* instance, const P& problem,
                 want.streaming);
     CheckGolden("deterministic", instance, threads,
                 RunDeterministic(problem, parts, threads, &det_value),
-                want.deterministic);
-  }
-
-  // The SIMD scan seam must be transcript-invisible: forcing the kernel
-  // path on (kSimd) and off (kSerial) must reproduce the same goldens the
-  // default (kAuto) just matched. Streaming has no stored constraint set,
-  // so the seam does not apply there.
-  for (runtime::ScanStrategy scan :
-       {runtime::ScanStrategy::kSimd, runtime::ScanStrategy::kSerial}) {
-    CheckGolden("coordinator", instance, 1,
-                RunCoordinator(problem, parts, 1, &coord_value, scan),
-                want.coordinator);
-    CheckGolden("mpc", instance, 1, RunMpc(problem, parts, 1, &mpc_value, scan),
-                want.mpc);
-    CheckGolden("deterministic", instance, 1,
-                RunDeterministic(problem, parts, 1, &det_value, scan),
                 want.deterministic);
   }
 
@@ -312,7 +290,7 @@ TEST(EngineEquivalenceTest, MebMatchesPreRefactorGoldens) {
 
 // The three lifted-LP problems (PR 10) have no pre-engine ancestor; their
 // goldens were captured when the problems shipped and pin every model's
-// transcript — across thread counts, scan strategies, and reruns — against
+// transcript — across thread counts, scan kernels, and reruns — against
 // drift from here on.
 
 TEST(EngineEquivalenceTest, ChebyshevMatchesIntroductionGoldens) {

@@ -1,8 +1,8 @@
 // Unit tests of the src/engine layer: ConstraintStore/ConstraintView
-// weighted storage (sampling draw discipline, scan determinism incl. the
-// pool-routed bitmap variants), RefinementPolicy construction parity with
-// the paper formulas, the oversized-basis-solve routing, and the
-// Rng::ForkStream derivation contract.
+// weighted storage (sampling draw discipline, serial predicate scans in
+// ascending order, the reweight ceiling), RefinementPolicy construction
+// parity with the paper formulas, and the Rng::ForkStream derivation
+// contract.
 
 #include <gtest/gtest.h>
 
@@ -99,36 +99,9 @@ TEST(ConstraintStoreTest, SamplingFollowsWeights) {
   EXPECT_GT(heavy, 195u);
 }
 
-TEST(ConstraintStoreTest, PoolScanBitIdenticalToSerial) {
-  // Above the parallel threshold with irregular weights: the bitmap scan
-  // must reproduce the serial ascending accumulation exactly.
-  const size_t n = 3 * engine::kParallelScanMinItems + 17;
-  std::vector<int> items(n);
-  for (size_t i = 0; i < n; ++i) items[i] = static_cast<int>(i % 1000);
-  ConstraintStore<int> store(items);
-  store.View().ScaleViolators([](int v) { return v % 3 == 0; }, 1.0 / 3.0);
-  auto pred = [](int v) { return v % 7 < 3; };
-
-  ViolatorStats serial = store.View().CountViolators(pred);
-  runtime::ThreadPool pool(8);
-  ViolatorStats pooled = store.View().CountViolators(&pool, pred);
-  EXPECT_EQ(pooled.count, serial.count);
-  EXPECT_EQ(pooled.weight, serial.weight);  // Bitwise, not approximate.
-
-  // Pool-routed reweighting must land on exactly the serial weights
-  // (compared on a fresh pair: `store` above already carries reweighting).
-  ConstraintStore<int> serial_store(items);
-  serial_store.View().ScaleViolators(pred, 2.5);
-  ConstraintStore<int> pooled_store(items);
-  pooled_store.View().ScaleViolators(&pool, pred, 2.5);
-  EXPECT_EQ(pooled_store.View().TotalWeight(),
-            serial_store.View().TotalWeight());
-}
-
 TEST(ConstraintStoreTest, ScaleViolatorsSaturatesAtTheCeiling) {
   // The deterministic transport reweights on EVERY iteration, so it passes
-  // a finite ceiling: weights cap there instead of overflowing double, and
-  // the pooled variant lands on exactly the serial weights.
+  // a finite ceiling: weights cap there instead of overflowing double.
   ConstraintStore<int> store({1, 2, 3, 4});
   auto even = [](int v) { return v % 2 == 0; };
   for (int i = 0; i < 5; ++i) {
@@ -138,21 +111,6 @@ TEST(ConstraintStoreTest, ScaleViolatorsSaturatesAtTheCeiling) {
   EXPECT_DOUBLE_EQ(view.weight(0), 1.0);
   EXPECT_DOUBLE_EQ(view.weight(1), 500.0);  // 10^5 capped at 500.
   EXPECT_DOUBLE_EQ(view.weight(3), 500.0);
-
-  const size_t n = engine::kParallelScanMinItems + 13;
-  std::vector<int> items(n);
-  for (size_t i = 0; i < n; ++i) items[i] = static_cast<int>(i % 100);
-  auto pred = [](int v) { return v % 3 == 0; };
-  ConstraintStore<int> serial_store(items);
-  ConstraintStore<int> pooled_store(items);
-  runtime::ThreadPool pool(4);
-  for (int round = 0; round < 3; ++round) {
-    serial_store.View().ScaleViolators(pred, 7.0, /*ceiling=*/50.0);
-    pooled_store.View().ScaleViolators(&pool, pred, 7.0, /*ceiling=*/50.0);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(pooled_store.View().weight(i), serial_store.View().weight(i));
-  }
 }
 
 TEST(EnginePolicyTest, MatchesPaperFormulas) {
@@ -317,32 +275,6 @@ TEST(EngineRunTest, ZeroIterationCapSkipsTheLoopEntirely) {
   EXPECT_EQ(g.transport.finishes, 1u);
   testing_util::ExpectMatchesDirect(g.c.problem, g.c.constraints,
                                     recovered->value, "zero-cap fallback");
-}
-
-TEST(EngineBasisSolveTest, PoolRoutedSolveMatchesInline) {
-  auto c = testing_util::MakeFeasibleLpCase(6000, 2, 13);
-  engine::RefinementPolicy inline_policy;
-  inline_policy.oversized_basis_threshold = 4096;
-  auto inline_result =
-      engine::SolveSampleBasis(c.problem, c.constraints, inline_policy);
-
-  runtime::ThreadPool pool(4);
-  engine::RefinementPolicy pooled_policy = inline_policy;
-  pooled_policy.pool = &pool;
-  auto pooled_result =
-      engine::SolveSampleBasis(c.problem, c.constraints, pooled_policy);
-
-  EXPECT_EQ(c.problem.CompareValues(inline_result.value, pooled_result.value),
-            0);
-  ASSERT_EQ(inline_result.basis.size(), pooled_result.basis.size());
-  BitWriter wa, wb;
-  for (const auto& h : inline_result.basis) {
-    c.problem.SerializeConstraint(h, &wa);
-  }
-  for (const auto& h : pooled_result.basis) {
-    c.problem.SerializeConstraint(h, &wb);
-  }
-  EXPECT_EQ(wa.Release(), wb.Release());
 }
 
 TEST(EngineMetricsTest, MetricsAreRegisteredGlobally) {

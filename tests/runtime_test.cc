@@ -376,6 +376,56 @@ TEST(RuntimeDeterminismTest, MpcBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// The shape of the e2e benchmark's mpc-lp workload (bench/e2e): 50k d=3
+// constraints in 16 shuffled parts at delta = 1/3 and net scale 0.5 draw
+// ~8.8k-constraint samples, above the 4096 oversized-basis cut, so every
+// iteration takes the oversized dispatch (solved inline on the driver
+// thread). Two solves on one shared 4-thread pool and one serial solve must
+// agree on every transcript field.
+TEST(RuntimeDeterminismTest, MpcBenchShapeIsRepeatable) {
+  auto [problem, constraints] = MakeFeasibleLpCase(50000, 3, 2024);
+  Rng rng(2024);
+  auto parts = workload::Partition(constraints, 16, /*shuffled=*/true, &rng);
+  runtime::Counter* oversized =
+      MetricsRegistry::Global().GetCounter("engine.oversized_basis_solves");
+
+  ThreadPool pool(4);
+  struct Run {
+    std::vector<uint8_t> basis;
+    mpc::MpcStats stats;
+  };
+  std::vector<Run> runs;
+  ThreadPool* const run_pools[] = {&pool, &pool, nullptr};
+  for (ThreadPool* run_pool : run_pools) {
+    mpc::MpcOptions opt;
+    opt.delta = 1.0 / 3.0;
+    opt.net.scale = 0.5;
+    opt.seed = 0x4D9C;
+    opt.runtime.pool = run_pool;
+    opt.runtime.num_threads = 1;
+    const uint64_t oversized_before = oversized->value();
+    Run run;
+    auto result = mpc::SolveMpc(problem, parts, opt, &run.stats);
+    ASSERT_TRUE(result.ok()) << "run " << runs.size();
+    EXPECT_GT(run.stats.sample_size, 4096u);
+    EXPECT_GT(oversized->value(), oversized_before) << "run " << runs.size();
+    if (runs.empty()) {
+      ExpectMatchesDirect(problem, constraints, result->value,
+                          "mpc bench shape");
+    }
+    run.basis = BasisBytes(problem, *result);
+    runs.push_back(std::move(run));
+  }
+  for (size_t i = 1; i < runs.size(); ++i) {
+    SCOPED_TRACE("run " + std::to_string(i));
+    EXPECT_EQ(runs[i].basis, runs[0].basis);
+    EXPECT_EQ(runs[i].stats.rounds, runs[0].stats.rounds);
+    EXPECT_EQ(runs[i].stats.total_bytes, runs[0].stats.total_bytes);
+    EXPECT_EQ(runs[i].stats.iterations, runs[0].stats.iterations);
+    EXPECT_EQ(runs[i].stats.max_load_bytes, runs[0].stats.max_load_bytes);
+  }
+}
+
 TEST(RuntimeDeterminismTest, ExternalPoolMatchesOwnedPool) {
   auto [problem, constraints] = MakeFeasibleLpCase(8000, 2, 55);
   Rng rng(55);

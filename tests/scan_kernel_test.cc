@@ -5,8 +5,9 @@
 //    problem.Violates, for all three problems, across dimensions, sizes
 //    straddling kSoaBlockWidth and kParallelScanMinItems, and hostile
 //    values (NaN coordinates, +/-inf offsets, denormal weights);
-//  * strategy equivalence: every ScanStrategy produces bitwise-identical
-//    ViolatorStats and weights;
+//  * pool equivalence: the kernel path with and without a pool, on both
+//    sides of kParallelScanMinItems, reports bitwise the ViolatorStats and
+//    weights of a plain problem.Violates loop;
 //  * fused scan-and-reweight: reuses the scan bitmap only when the
 //    predicate is byte-identical (counter increments), falls back on a new
 //    value or an Append, and always leaves exactly the weights the
@@ -18,8 +19,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/engine/constraint_store.h"
@@ -43,14 +46,12 @@ using engine::GlobalScanMetrics;
 using engine::kParallelScanMinItems;
 using engine::kSoaBlockWidth;
 using engine::RunScanKernelVariant;
-using engine::ScanOptions;
 using engine::ScanQuery;
 using engine::ScanWorkspace;
 using engine::SimdScannable;
 using engine::SoaBlock;
 using engine::SoaPaddedSize;
 using engine::ViolatorStats;
-using runtime::ScanStrategy;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
@@ -155,7 +156,7 @@ void CheckBitmapEquality(const P& problem, const V& value,
 }
 
 // Sizes straddling the block width; one straddle of kParallelScanMinItems
-// rides in the strategy tests below (large sizes are slow to re-run per
+// rides in the pool tests below (large sizes are slow to re-run per
 // dimension).
 std::vector<size_t> StraddleSizes() {
   return {1, kSoaBlockWidth - 1, kSoaBlockWidth, kSoaBlockWidth + 1, 61, 256};
@@ -392,13 +393,62 @@ TEST(ScanKernelProperty, AnnulusHostileValuesMatchScalarSemantics) {
   CheckBitmapEquality(problem, nan_center, cs);
 }
 
-// ----------------------------------------------------- strategy equality
+// ------------------------------------------------------ pool vs. no pool
 
-// Builds an LP store straddling kParallelScanMinItems and checks that every
-// strategy (serial predicate, pool bitmap, SIMD, SIMD+pool) reports
-// bitwise-identical ViolatorStats and produces bitwise-identical weights
-// after reweighting.
-TEST(ScanStrategyTest, AllStrategiesBitIdenticalAcrossPoolThreshold) {
+// Runs scan -> fused reweight -> scan through the problem-aware entry
+// points with and without a pool, and checks both runs against a
+// `problem.Violates` loop written here: the same counts, and bitwise the
+// same violator weights (the second scan sums the reweighted, non-uniform
+// weights, so accumulation order shows) and final weights.
+template <typename P, typename V, typename C>
+void CheckPoolAgainstViolatesLoop(const P& problem, const V& value,
+                                  const std::vector<C>& cs,
+                                  runtime::ThreadPool* pool) {
+  constexpr double kRate = 2.5;
+  std::vector<double> want_weights(cs.size(), 1.0);
+  ViolatorStats want_first, want_second;
+  for (size_t i = 0; i < cs.size(); ++i) {
+    if (problem.Violates(value, cs[i])) {
+      want_first.weight += 1.0;
+      ++want_first.count;
+      want_weights[i] *= kRate;
+    }
+  }
+  for (size_t i = 0; i < cs.size(); ++i) {
+    if (problem.Violates(value, cs[i])) {
+      want_second.weight += want_weights[i];
+      ++want_second.count;
+    }
+  }
+  ASSERT_GT(want_first.count, 0u);  // both branches exercised
+  ASSERT_LT(want_first.count, cs.size());
+
+  for (runtime::ThreadPool* lane : {static_cast<runtime::ThreadPool*>(nullptr),
+                                    pool}) {
+    SCOPED_TRACE(lane == nullptr ? "no pool" : "pool");
+    SCOPED_TRACE("n=" + std::to_string(cs.size()));
+    ConstraintStore<C> store(cs);
+    ViolatorStats first = store.View().ScanViolators(problem, value, lane);
+    store.View().ScaleViolatorsFused(problem, value, kRate, lane);
+    ViolatorStats second = store.View().ScanViolators(problem, value, lane);
+    // Bitwise: the determinism contract is exact equality, not tolerance.
+    EXPECT_EQ(first.count, want_first.count);
+    EXPECT_EQ(std::memcmp(&first.weight, &want_first.weight, sizeof(double)),
+              0);
+    EXPECT_EQ(second.count, want_second.count);
+    EXPECT_EQ(
+        std::memcmp(&second.weight, &want_second.weight, sizeof(double)), 0);
+    for (size_t i = 0; i < cs.size(); ++i) {
+      const double got = store.View().weight(i);
+      ASSERT_EQ(std::memcmp(&got, &want_weights[i], sizeof(double)), 0)
+          << "weight " << i;
+    }
+  }
+}
+
+// LP on both sides of kParallelScanMinItems: below it the pool is ignored,
+// above it the kernel fans out over block-aligned chunks.
+TEST(ScanPathTest, LpPoolAndNoPoolMatchViolatesLoopAcrossThreshold) {
   Rng rng(0x5EED07);
   const size_t dim = 3;
   LinearProgram problem(RandomPoint(dim, &rng));
@@ -407,99 +457,16 @@ TEST(ScanStrategyTest, AllStrategiesBitIdenticalAcrossPoolThreshold) {
     std::vector<Halfspace> cs;
     cs.reserve(n);
     for (size_t i = 0; i < n; ++i) cs.push_back(RandomHalfspace(dim, &rng));
-    LinearProgram::Value v = LpValueAt(dim, &rng);
-
-    struct Lane {
-      ScanStrategy strategy;
-      runtime::ThreadPool* pool;
-    };
-    const Lane lanes[] = {
-        {ScanStrategy::kSerial, nullptr},
-        {ScanStrategy::kPoolBitmap, &pool},
-        {ScanStrategy::kSimd, nullptr},
-        {ScanStrategy::kSimd, &pool},  // pool present but strategy ignores it
-        {ScanStrategy::kSimdPool, &pool},
-        {ScanStrategy::kAuto, nullptr},
-        {ScanStrategy::kAuto, &pool},
-    };
-    ViolatorStats reference;
-    std::vector<double> reference_weights;
-    bool first = true;
-    for (const Lane& lane : lanes) {
-      ConstraintStore<Halfspace> store(cs);
-      ScanOptions opts{lane.pool, lane.strategy};
-      ViolatorStats st = store.View().ScanViolators(problem, v, opts);
-      store.View().ScaleViolatorsFused(problem, v, 2.5, opts);
-      std::vector<double> weights(store.size());
-      for (size_t i = 0; i < store.size(); ++i) {
-        weights[i] = store.View().weight(i);
-      }
-      if (first) {
-        reference = st;
-        reference_weights = weights;
-        first = false;
-        EXPECT_GT(st.count, 0u);  // the instance must actually exercise scans
-        continue;
-      }
-      // Bitwise: the determinism contract is exact equality, not tolerance.
-      EXPECT_EQ(st.count, reference.count);
-      EXPECT_EQ(std::memcmp(&st.weight, &reference.weight, sizeof(double)), 0)
-          << "strategy " << static_cast<int>(lane.strategy);
-      ASSERT_EQ(std::memcmp(weights.data(), reference_weights.data(),
-                            weights.size() * sizeof(double)),
-                0)
-          << "strategy " << static_cast<int>(lane.strategy);
-    }
+    CheckPoolAgainstViolatesLoop(problem, LpValueAt(dim, &rng), cs, &pool);
   }
 }
 
-// The two new ops (kAbsResidualAbove, kDotOutsideBand) through the full
-// strategy matrix: every ScanStrategy value must report bitwise-identical
-// stats and weights on L-inf regression and annulus stores.
-TEST(ScanStrategyTest, NewOpsBitIdenticalAcrossAllStrategies) {
+// The two newer ops (kAbsResidualAbove, kDotOutsideBand) on L-inf
+// regression and annulus stores, above the pool threshold.
+TEST(ScanPathTest, NewOpsPoolAndNoPoolMatchViolatesLoop) {
   Rng rng(0x5EED13);
   const size_t dim = 3;
   runtime::ThreadPool pool(3);
-  struct Lane {
-    ScanStrategy strategy;
-    runtime::ThreadPool* pool;
-  };
-  const Lane lanes[] = {
-      {ScanStrategy::kSerial, nullptr},     {ScanStrategy::kPoolBitmap, &pool},
-      {ScanStrategy::kSimd, nullptr},       {ScanStrategy::kSimdPool, &pool},
-      {ScanStrategy::kAuto, nullptr},
-  };
-  auto check = [&](const auto& problem, const auto& value, const auto& cs) {
-    using C = typename std::decay_t<decltype(cs)>::value_type;
-    ViolatorStats reference;
-    std::vector<double> reference_weights;
-    bool first = true;
-    for (const Lane& lane : lanes) {
-      ConstraintStore<C> store(cs);
-      ScanOptions opts{lane.pool, lane.strategy};
-      ViolatorStats st = store.View().ScanViolators(problem, value, opts);
-      store.View().ScaleViolatorsFused(problem, value, 2.5, opts);
-      std::vector<double> weights(store.size());
-      for (size_t i = 0; i < store.size(); ++i) {
-        weights[i] = store.View().weight(i);
-      }
-      if (first) {
-        reference = st;
-        reference_weights = weights;
-        first = false;
-        EXPECT_GT(st.count, 0u);
-        EXPECT_LT(st.count, cs.size());  // both branches exercised
-        continue;
-      }
-      EXPECT_EQ(st.count, reference.count)
-          << "strategy " << static_cast<int>(lane.strategy);
-      EXPECT_EQ(std::memcmp(&st.weight, &reference.weight, sizeof(double)), 0);
-      ASSERT_EQ(std::memcmp(weights.data(), reference_weights.data(),
-                            weights.size() * sizeof(double)),
-                0)
-          << "strategy " << static_cast<int>(lane.strategy);
-    }
-  };
   const size_t n = kParallelScanMinItems + 17;
   {
     LinfRegression problem(dim);
@@ -508,20 +475,21 @@ TEST(ScanStrategyTest, NewOpsBitIdenticalAcrossAllStrategies) {
     for (size_t i = 0; i < n; ++i) {
       cs.push_back(RandomRegressionPoint(dim, &rng));
     }
-    check(problem, LinfValueAt(dim, &rng), cs);
+    CheckPoolAgainstViolatesLoop(problem, LinfValueAt(dim, &rng), cs, &pool);
   }
   {
     EnclosingAnnulus problem(dim);
     std::vector<Vec> cs;
     cs.reserve(n);
     for (size_t i = 0; i < n; ++i) cs.push_back(RandomPoint(dim, &rng));
-    check(problem, AnnulusValueAt(dim, &rng), cs);
+    CheckPoolAgainstViolatesLoop(problem, AnnulusValueAt(dim, &rng), cs,
+                                 &pool);
   }
 }
 
 // Special modes: infeasible LP (nothing violates), empty-ball MEB and
 // zero-u SVM (everything violates) must agree with the predicate path.
-TEST(ScanStrategyTest, SpecialModesMatchPredicatePath) {
+TEST(ScanPathTest, SpecialModesMatchPredicatePath) {
   Rng rng(0x5EED08);
   const size_t dim = 2;
   {
@@ -532,7 +500,7 @@ TEST(ScanStrategyTest, SpecialModesMatchPredicatePath) {
     LinearProgram::Value infeasible;
     infeasible.feasible = false;
     ViolatorStats st = store.View().ScanViolators(problem, infeasible,
-                                                  ScanOptions{});
+                                                  nullptr);
     EXPECT_EQ(st.count, 0u);
     EXPECT_EQ(st.weight, 0.0);
   }
@@ -542,10 +510,10 @@ TEST(ScanStrategyTest, SpecialModesMatchPredicatePath) {
     for (size_t i = 0; i < 20; ++i) cs.push_back(RandomSvmPoint(dim, &rng));
     ConstraintStore<SvmPoint> store(cs);
     LinearSvm::Value zero;  // u.dim() == 0: everything violates
-    ViolatorStats st = store.View().ScanViolators(problem, zero, ScanOptions{});
+    ViolatorStats st = store.View().ScanViolators(problem, zero, nullptr);
     EXPECT_EQ(st.count, cs.size());
     EXPECT_EQ(st.weight, static_cast<double>(cs.size()));
-    store.View().ScaleViolatorsFused(problem, zero, 2.0, ScanOptions{});
+    store.View().ScaleViolatorsFused(problem, zero, 2.0, nullptr);
     EXPECT_EQ(store.View().weight(0), 2.0);
     EXPECT_EQ(store.View().weight(cs.size() - 1), 2.0);
   }
@@ -556,7 +524,7 @@ TEST(ScanStrategyTest, SpecialModesMatchPredicatePath) {
     ConstraintStore<Vec> store(cs);
     MinEnclosingBall::Value empty;  // empty ball: everything violates
     ViolatorStats st = store.View().ScanViolators(problem, empty,
-                                                  ScanOptions{});
+                                                  nullptr);
     EXPECT_EQ(st.count, cs.size());
   }
   {
@@ -567,7 +535,7 @@ TEST(ScanStrategyTest, SpecialModesMatchPredicatePath) {
     ChebyshevCenter::Value infeasible;
     infeasible.feasible = false;  // maximal: nothing violates
     ViolatorStats st = store.View().ScanViolators(problem, infeasible,
-                                                  ScanOptions{});
+                                                  nullptr);
     EXPECT_EQ(st.count, 0u);
   }
   {
@@ -579,7 +547,7 @@ TEST(ScanStrategyTest, SpecialModesMatchPredicatePath) {
     ConstraintStore<RegressionPoint> store(cs);
     LinfRegression::Value empty;  // f(empty): everything violates
     ViolatorStats st = store.View().ScanViolators(problem, empty,
-                                                  ScanOptions{});
+                                                  nullptr);
     EXPECT_EQ(st.count, cs.size());
   }
   {
@@ -589,7 +557,7 @@ TEST(ScanStrategyTest, SpecialModesMatchPredicatePath) {
     ConstraintStore<Vec> store(cs);
     EnclosingAnnulus::Value empty;  // f(empty): everything violates
     ViolatorStats st = store.View().ScanViolators(problem, empty,
-                                                  ScanOptions{});
+                                                  nullptr);
     EXPECT_EQ(st.count, cs.size());
   }
 }
@@ -611,10 +579,9 @@ TEST(FusedReweightTest, ReusesBitmapOnlyForIdenticalPredicate) {
       [&](const Halfspace& c) { return problem.Violates(v, c); }, 3.0);
 
   ConstraintStore<Halfspace> store(cs);
-  ScanOptions opts{nullptr, ScanStrategy::kSimd};
-  store.View().ScanViolators(problem, v, opts);
+  store.View().ScanViolators(problem, v, nullptr);
   const uint64_t before = fused->value();
-  store.View().ScaleViolatorsFused(problem, v, 3.0, opts);
+  store.View().ScaleViolatorsFused(problem, v, 3.0, nullptr);
   EXPECT_EQ(fused->value(), before + 1);  // bitmap reused
   for (size_t i = 0; i < cs.size(); ++i) {
     double a = store.View().weight(i);
@@ -628,9 +595,9 @@ TEST(FusedReweightTest, ReusesBitmapOnlyForIdenticalPredicate) {
   reference2.View().ScaleViolators(
       [&](const Halfspace& c) { return problem.Violates(v2, c); }, 3.0);
   ConstraintStore<Halfspace> store2(cs);
-  store2.View().ScanViolators(problem, v, opts);
+  store2.View().ScanViolators(problem, v, nullptr);
   const uint64_t before2 = fused->value();
-  store2.View().ScaleViolatorsFused(problem, v2, 3.0, opts);
+  store2.View().ScaleViolatorsFused(problem, v2, 3.0, nullptr);
   EXPECT_EQ(fused->value(), before2);  // no reuse
   for (size_t i = 0; i < cs.size(); ++i) {
     double a = store2.View().weight(i);
@@ -648,13 +615,12 @@ TEST(FusedReweightTest, AppendInvalidatesBitmapButNotCorrectness) {
   LinearProgram::Value v = LpValueAt(dim, &rng);
 
   ConstraintStore<Halfspace> store(cs);
-  ScanOptions opts{nullptr, ScanStrategy::kSimd};
-  store.View().ScanViolators(problem, v, opts);
+  store.View().ScanViolators(problem, v, nullptr);
   Halfspace extra = RandomHalfspace(dim, &rng);
   store.Append(extra);
   auto* fused = GlobalScanMetrics().fused_reweights;
   const uint64_t before = fused->value();
-  store.View().ScaleViolatorsFused(problem, v, 4.0, opts);
+  store.View().ScaleViolatorsFused(problem, v, 4.0, nullptr);
   EXPECT_EQ(fused->value(), before);  // stale bitmap not reused
 
   std::vector<Halfspace> cs2 = cs;
@@ -681,9 +647,8 @@ TEST(FusedReweightTest, CollectViolatorsReusesScanBitmap) {
   v.ball.radius = 4.0;
 
   ConstraintStore<Vec> store(cs);
-  ScanOptions opts{nullptr, ScanStrategy::kSimd};
-  ViolatorStats st = store.View().ScanViolators(problem, v, opts);
-  std::vector<Vec> collected = store.View().CollectViolators(problem, v, opts);
+  ViolatorStats st = store.View().ScanViolators(problem, v, nullptr);
+  std::vector<Vec> collected = store.View().CollectViolators(problem, v, nullptr);
   EXPECT_EQ(collected.size(), st.count);
   std::vector<Vec> expected = store.View().CollectViolators(
       [&](const Vec& c) { return problem.Violates(v, c); });

@@ -167,17 +167,6 @@ TEST(ShardedServiceTest, TranscriptsBitIdenticalAcrossShardAndThreadCounts) {
       RunAllModels(c.problem, parts, c.constraints, runtime::RuntimeOptions{});
   ASSERT_NE(want.coordinator, Transcript{});
 
-  // The default backend (inline, no pool) is the same dispatch the serial
-  // path uses; its transcript must match too.
-  {
-    runtime::InlinePoolBackend inline_backend(nullptr);
-    runtime::RuntimeOptions ropt;
-    ropt.solver_backend = &inline_backend;
-    ropt.oversized_basis_threshold = 1;
-    EXPECT_EQ(RunAllModels(c.problem, parts, c.constraints, ropt), want)
-        << "InlinePoolBackend transcript drifted";
-  }
-
   for (size_t shards : {1u, 2u, 4u}) {
     MetricsRegistry reg;
     ShardedSolverService::Options sopt;
